@@ -7,6 +7,11 @@ contents of the parameter stores, which makes central finite differences
 cheap (no retracing). Gradients are exact reverse-mode; the SGD step and a
 finite-difference checker live here too.
 
+Inside :func:`inference` ops evaluate through the same forward functions but
+record nothing: a node keeps its values and drops its parents, so the result
+is bitwise the same while the tape bookkeeping is skipped. Such a node cannot
+be differentiated or re-run.
+
 Only the ops the models need are implemented. Everything is float64 and every
 op output is checked for NaN/Inf.
 """
@@ -14,6 +19,9 @@ op output is checked for NaN/Inf.
 from __future__ import annotations
 
 import hashlib
+import math
+import threading
+from contextlib import contextmanager
 from typing import Callable, Iterable
 
 import numpy as np
@@ -89,12 +97,13 @@ class Tensor:
 
     __slots__ = ("op", "parents", "values", "aux", "payload", "store", "name", "requires_grad")
 
-    def __init__(self):
-        self.op = ""
-        self.parents: tuple["Tensor", ...] = ()
-        self.values: np.ndarray = np.zeros(())
+    def __init__(self, op: str, parents: tuple["Tensor", ...] = (), payload=None):
+        self.op = op
+        # None marks a node evaluated under inference(): it has no tape
+        self.parents: tuple["Tensor", ...] | None = parents
+        self.values: np.ndarray | None = None
         self.aux = None
-        self.payload = None
+        self.payload = payload
         self.store: ParamStore | None = None
         self.name: str | None = None
         self.requires_grad = False
@@ -108,8 +117,7 @@ class Tensor:
 
 
 def const(values) -> Tensor:
-    t = Tensor()
-    t.op = "const"
+    t = Tensor("const")
     t.values = np.asarray(values, dtype=np.float64)
     return t
 
@@ -117,8 +125,7 @@ def const(values) -> Tensor:
 def param(store: ParamStore, name: str) -> Tensor:
     if name not in store.params:
         raise KeyError(f"unknown parameter {name!r}")
-    t = Tensor()
-    t.op = "param"
+    t = Tensor("param")
     t.store = store
     t.name = name
     t.values = store.params[name]
@@ -134,11 +141,47 @@ _FORWARD: dict[str, Callable] = {}
 _BACKWARD: dict[str, Callable] = {}
 
 
+class _Mode(threading.local):
+    inference = False
+
+
+_MODE = _Mode()
+
+
+@contextmanager
+def inference():
+    """Evaluate ops without recording a tape, for forward-only callers.
+
+    Ops inside the block run the same forward functions, so values are
+    bitwise those of a recorded graph, and a non-finite output still raises
+    :class:`GradientError` naming the op. Nodes made here keep no parents:
+    building a :class:`Graph` over one raises. The mode is per thread and is
+    restored on exit, also when the block raises.
+    """
+    previous = _MODE.inference
+    _MODE.inference = True
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    finally:
+        _MODE.inference = previous
+
+
+def _check_finite(op: str, values: np.ndarray) -> None:
+    # A finite sum proves every value finite; only a sum that met a NaN or
+    # Inf, or overflowed, needs the elementwise test. Call under np.errstate.
+    if not math.isfinite(np.add.reduce(values, axis=None)) and not np.isfinite(values).all():
+        raise GradientError(f"non-finite values in forward of op {op!r}")
+
+
 def _op(op: str, parents: Iterable[Tensor], payload=None) -> Tensor:
-    t = Tensor()
-    t.op = op
-    t.parents = tuple(parents)
-    t.payload = payload
+    t = Tensor(op, tuple(parents), payload)
+    if _MODE.inference:
+        values, _ = _FORWARD[op](t)
+        _check_finite(op, values)
+        t.values = values
+        t.parents = None
+        return t
     t.requires_grad = any(p.requires_grad for p in t.parents)
     _refresh(t)
     return t
@@ -152,8 +195,7 @@ def _refresh(t: Tensor) -> None:
         return
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values, aux = _FORWARD[t.op](t)
-    if not np.all(np.isfinite(values)):
-        raise GradientError(f"non-finite values in forward of op {t.op!r}")
+        _check_finite(t.op, values)
     t.values = values
     t.aux = aux
 
@@ -597,6 +639,11 @@ class Graph:
                 continue
             if id(node) in seen:
                 continue
+            if node.parents is None:
+                raise GradientError(
+                    f"op {node.op!r} was evaluated under inference() and has no tape; "
+                    "wrap its values in const() to use them in a recorded graph"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for p in node.parents:

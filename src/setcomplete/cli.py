@@ -47,7 +47,7 @@ from .evaluation import (
     timing_benchmark,
 )
 from .matching import MatchConfig
-from .model import SlotInit, build_variant, complete_features, st_sequential_complete
+from .model import SlotInit, build_variant, complete_batch, st_sequential_complete
 from .retrieval import AnnConfig, RetrievalIndex, build_index
 from .sets import FeatureSet
 from .training import (
@@ -305,10 +305,9 @@ def cmd_bench(args) -> int:
 
 def cmd_complete(args) -> int:
     catalog, outfits = _read_data(args.data)
-    _, query_outfits = read_jsonl(args.query)
+    query_catalog, query_outfits = read_jsonl(args.query)
     if len(query_outfits) != 1:
         raise ValueError("the query file must hold exactly one outfit line")
-    query_catalog, _ = read_jsonl(args.query)
     params, _ = load_cst_checkpoint(args.checkpoint)
     if args.index:
         index = RetrievalIndex.load(args.index)
@@ -324,8 +323,8 @@ def cmd_complete(args) -> int:
     if params.variant == "st":
         ids = st_sequential_complete(x, labels, params, index)
     else:
-        yhat = complete_features(x, labels, params, SlotInit(mode="gaussian", seed=args.seed or 0))
-        ids = [int(i) for i in top1_ids(index, yhat.features)]
+        (yhat,) = complete_batch([x], [labels], params, SlotInit(mode="gaussian", seed=args.seed or 0))
+        ids = [int(i) for i in top1_ids(index, yhat)]
     print(",".join(str(i) for i in ids))
     return 0
 

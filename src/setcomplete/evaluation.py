@@ -22,15 +22,13 @@ from .matching import MatchParams, category_matched_negative, match_score_batch
 from .model import (
     CSTParams,
     SlotInit,
-    cst_graph,
-    slots_graph,
+    complete_batch,
     get_forward_count,
     reset_forward_count,
-    complete_features,
     st_sequential_complete,
 )
 from .retrieval import RetrievalIndex
-from .sets import FeatureSet, pad_stack
+from .sets import FeatureSet
 
 
 # -- model predictions over triples ---------------------------------------------
@@ -42,15 +40,11 @@ def predict_triples(
     """Output features for each triple, batched; gaussian slots use a fixed seed."""
     if params.variant == "st":
         raise ValueError("the sequential baseline predicts via st_sequential_complete")
+    init = SlotInit(mode="gaussian", seed=slot_seed)
     outputs: list[np.ndarray] = []
     for start in range(0, len(triples), batch_size):
         chunk = triples[start : start + batch_size]
-        x_pad, x_mask = pad_stack([t.x.features for t in chunk])
-        labels = [np.asarray(t.z, dtype=np.int64) for t in chunk]
-        width = max(len(z) for z in labels)
-        z0, z_mask = slots_graph(params, labels, width, SlotInit(mode="gaussian", seed=slot_seed))
-        yhat = cst_graph(params, x_pad, x_mask, z0, z_mask).values
-        outputs.extend(yhat[i, : len(labels[i])].copy() for i in range(len(chunk)))
+        outputs.extend(complete_batch([t.x for t in chunk], [t.z for t in chunk], params, init))
     return outputs
 
 
@@ -79,11 +73,23 @@ def recall_at_k(model, triples: list[SplitTriple], index: RetrievalIndex, k: int
     return float(np.mean(scores))
 
 
+# Similarities held at once by top1_ids: 2**20 float64 values, 8 MB.
+TOP1_BLOCK_VALUES = 1 << 20
+
+
 def top1_ids(index: RetrievalIndex, queries: np.ndarray) -> np.ndarray:
     """Vectorized nearest item per query row (ids ascend with rows, so argmax
-    tie-breaking matches the documented ascending-id rule)."""
-    sims = queries @ index.features.T
-    return index.ids[np.argmax(sims, axis=1)]
+    tie-breaking matches the documented ascending-id rule).
+
+    Rows go through in blocks, so a large batch never holds its whole
+    (rows, items) similarity matrix.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    step = max(1, TOP1_BLOCK_VALUES // len(index))
+    best = np.empty(queries.shape[0], dtype=np.int64)
+    for start in range(0, queries.shape[0], step):
+        best[start : start + step] = np.argmax(index.similarities(queries[start : start + step]), axis=1)
+    return index.ids[best]
 
 
 def category_accuracy(model, triples: list[SplitTriple], index: RetrievalIndex, slot_seed: int = 0) -> float:
@@ -307,8 +313,8 @@ def timing_benchmark(
                     if params.variant == "st":
                         st_sequential_complete(x, labels, params, index)
                     else:
-                        yhat = complete_features(x, labels, params, SlotInit(mode="gaussian", seed=1))
-                        top1_ids(index, yhat.features)
+                        (yhat,) = complete_batch([x], [labels], params, SlotInit(mode="gaussian", seed=1))
+                        top1_ids(index, yhat)
 
                 run()  # warmup pass
                 reset_forward_count()

@@ -2,7 +2,7 @@
 
 All three are wrappers over one graph builder, :func:`mab_graph`, which works
 on padded batches. The public single-set functions lift a :class:`FeatureSet`
-to a batch of one and evaluate the graph immediately.
+to a batch of one and evaluate the graph immediately, without a tape.
 
 Contracts: outputs are permutation-equivariant in the queries and
 permutation-invariant in the key/value set, and masked key rows receive zero
@@ -114,7 +114,8 @@ def mab(queries: FeatureSet, keyvalues: FeatureSet, params: AttentionParams) -> 
     _check_pair(queries, keyvalues, params)
     q = ad.const(queries.features[None])
     kv = ad.const(keyvalues.features[None])
-    out = mab_graph(q, kv, keyvalues.mask[None], params)
+    with ad.inference():
+        out = mab_graph(q, kv, keyvalues.mask[None], params)
     return FeatureSet(out.values[0], queries.mask.copy(), queries.element_ids)
 
 

@@ -111,7 +111,8 @@ def match_score(x: FeatureSet, y: FeatureSet, params: MatchParams) -> float:
         raise ValueError("cannot score an empty set")
     if x.dim != params.config.dim or y.dim != params.config.dim:
         raise ValueError("feature dimension does not match the scorer")
-    out = match_graph(params, x.features[None], x.mask[None], y.features[None], y.mask[None])
+    with ad.inference():
+        out = match_graph(params, x.features[None], x.mask[None], y.features[None], y.mask[None])
     return float(out.values[0])
 
 
@@ -119,7 +120,8 @@ def match_score_batch(params: MatchParams, xs: list[np.ndarray], ys: list[np.nda
     """Scores for aligned lists of raw feature matrices."""
     xa, mask_a = pad_stack(xs)
     xb, mask_b = pad_stack(ys)
-    return match_graph(params, xa, mask_a, xb, mask_b).values.copy()
+    with ad.inference():
+        return match_graph(params, xa, mask_a, xb, mask_b).values
 
 
 def category_matched_negative(y_ids: np.ndarray, categories: np.ndarray, by_category: dict[int, np.ndarray], rng: np.random.Generator) -> np.ndarray:

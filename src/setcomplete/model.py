@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .layers import AttentionParams, init_attention_params, mab_graph
-from .sets import FeatureSet
+from .sets import FeatureSet, pad_stack
 
 VARIANTS = ("CR", "Cx", "xR", "xx", "sa", "st")
 CONDITIONED = ("CR", "Cx", "st")
@@ -133,13 +133,6 @@ def embed_conditions(labels, emb: ConditionEmbedding) -> FeatureSet:
     return FeatureSet(emb.table[labels], element_ids=labels)
 
 
-def gaussian_slots(count: int, dim: int, init: SlotInit) -> np.ndarray:
-    if count < 1:
-        raise ValueError("gaussian slot init requires an explicit positive count")
-    rng = np.random.default_rng(init.seed)
-    return init.mean + init.std * rng.standard_normal((count, dim))
-
-
 def slots_graph(params: CSTParams, labels_batch: list[np.ndarray], width: int, init: SlotInit | None = None):
     """Initial slot tensor (B, M, D) plus mask for a batch of condition lists.
 
@@ -213,22 +206,44 @@ def cst_forward(x: FeatureSet, z: FeatureSet, params: CSTParams) -> FeatureSet:
         raise ValueError("empty query set")
     if z.cardinality == 0:
         raise ValueError("empty condition set")
-    out = cst_graph(params, x.features[None], x.mask[None], ad.const(z.features[None]), z.mask[None])
+    with ad.inference():
+        out = cst_graph(params, x.features[None], x.mask[None], ad.const(z.features[None]), z.mask[None])
     _FORWARD_COUNT["n"] += 1
     return FeatureSet(out.values[0], z.mask.copy(), z.element_ids)
+
+
+def complete_batch(
+    xs: list[FeatureSet], labels_list, params: CSTParams, init: SlotInit | None = None
+) -> list[np.ndarray]:
+    """One inference for a batch of queries: a (len(labels), D) array of unit
+    rows per query, in order.
+
+    Queries are padded to one width and slots are seeded by `slots_graph`
+    (gaussian variants draw one (B, width, D) block from `init`), then
+    `cst_graph` runs once without a tape.
+    """
+    if len(xs) != len(labels_list) or not xs:
+        raise ValueError("need one nonempty label list per query set")
+    labels = [np.asarray(lab, dtype=np.int64) for lab in labels_list]
+    if any(lab.ndim != 1 or lab.size == 0 for lab in labels):
+        raise ValueError("labels must be a nonempty 1-D list of category ids")
+    if any(x.dim != params.config.dim for x in xs):
+        raise ValueError("query feature dimension does not match the model")
+    x_pad, x_mask = pad_stack([x.features for x in xs], masks=[x.mask for x in xs])
+    with ad.inference():
+        z0, z_mask = slots_graph(params, labels, max(lab.size for lab in labels), init)
+        out = cst_graph(params, x_pad, x_mask, z0, z_mask).values
+    _FORWARD_COUNT["n"] += 1
+    return [out[i, : lab.size].copy() for i, lab in enumerate(labels)]
 
 
 def complete_features(
     x: FeatureSet, labels, params: CSTParams, init: SlotInit | None = None
 ) -> FeatureSet:
-    """Convenience wrapper: build slots for `labels`, then run the model."""
+    """Complete one query: `complete_batch` with a batch of one."""
     labels = np.asarray(labels, dtype=np.int64)
-    if params.conditioned:
-        z = embed_conditions(labels, params.embedding)
-    else:
-        init = init or SlotInit(mode="gaussian")
-        z = FeatureSet(gaussian_slots(len(labels), params.config.dim, init), element_ids=labels)
-    return cst_forward(x, z, params)
+    (rows,) = complete_batch([x], [labels], params, init)
+    return FeatureSet(rows, element_ids=labels)
 
 
 # -- sequential set-transformer baseline ----------------------------------------
@@ -252,7 +267,8 @@ def st_encode(x: FeatureSet, label: int, params: CSTParams) -> np.ndarray:
     token = params.embedding.table[int(label)][None]
     feats = np.concatenate([x.valid_rows(), token], axis=0)
     mask = np.ones(feats.shape[0], dtype=np.float64)
-    out = st_encode_graph(params, feats[None], mask[None])
+    with ad.inference():
+        out = st_encode_graph(params, feats[None], mask[None])
     _FORWARD_COUNT["n"] += 1
     return out.values[0]
 

@@ -54,8 +54,14 @@ class FeatureSet:
         return FeatureSet(self.features[perm], self.mask[perm], ids)
 
 
-def pad_stack(arrays: list[np.ndarray], width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length (n_i, D) arrays into (B, N, D) plus a (B, N) mask."""
+def pad_stack(
+    arrays: list[np.ndarray], width: int | None = None, masks: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack variable-length (n_i, D) arrays into (B, N, D) plus a (B, N) mask.
+
+    Every row of an array is valid unless `masks` gives each array's own
+    row validity.
+    """
     if not arrays:
         raise ValueError("nothing to stack")
     dim = arrays[0].shape[1]
@@ -67,7 +73,7 @@ def pad_stack(arrays: list[np.ndarray], width: int | None = None) -> tuple[np.nd
         if a.shape[1] != dim:
             raise ValueError("inconsistent feature dimension")
         out[i, : a.shape[0]] = a
-        mask[i, : a.shape[0]] = 1.0
+        mask[i, : a.shape[0]] = 1.0 if masks is None else masks[i]
     return out, mask
 
 

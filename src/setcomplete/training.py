@@ -23,7 +23,7 @@ from .model import CSTParams, ModelConfig, SlotInit, build_variant
 from .retrieval import build_index
 from .serialize import load_arrays, save_arrays
 
-LOG_COLUMNS = ("epoch", "ce", "sm", "total", "val_recall", "val_accuracy", "val_smd")
+LOG_COLUMNS = ("epoch", "ce", "chamfer", "sm", "total", "val_recall", "val_accuracy", "val_smd")
 
 
 @dataclass
@@ -70,17 +70,26 @@ def save_cst_checkpoint(path: str | Path, params: CSTParams, extra: dict | None 
     save_arrays(path, params.store.params, meta)
 
 
+def _load_params(store: ad.ParamStore, arrays: dict[str, np.ndarray], path) -> None:
+    """Copy checkpoint arrays into `store`, which must hold exactly their names and shapes."""
+    missing = sorted(set(store.params) - set(arrays))
+    unknown = sorted(set(arrays) - set(store.params))
+    if missing or unknown:
+        raise ValueError(f"{path}: checkpoint parameters do not match the model: "
+                         f"missing {missing}, unknown {unknown}")
+    for name, arr in arrays.items():
+        want = store.params[name].shape
+        if arr.shape != want:
+            raise ValueError(f"{path}: checkpoint shape mismatch for {name!r}: {arr.shape}, expected {want}")
+        store.params[name][...] = arr
+
+
 def load_cst_checkpoint(path: str | Path) -> tuple[CSTParams, dict]:
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "cst-checkpoint":
         raise ValueError("not a model checkpoint")
     params = build_variant(meta["variant"], ModelConfig(**meta["config"]))
-    if set(arrays) != set(params.store.params):
-        raise ValueError("checkpoint parameters do not match the variant")
-    for name, arr in arrays.items():
-        if arr.shape != params.store.params[name].shape:
-            raise ValueError(f"checkpoint shape mismatch for {name!r}")
-        params.store.params[name][...] = arr
+    _load_params(params.store, arrays, path)
     return params, meta
 
 
@@ -99,8 +108,7 @@ def load_match_checkpoint(path: str | Path) -> tuple[MatchParams, dict]:
     if meta.get("kind") != "match-checkpoint":
         raise ValueError("not a scorer checkpoint")
     params = init_match_params(MatchConfig(**meta["config"]))
-    for name, arr in arrays.items():
-        params.store.params[name][...] = arr
+    _load_params(params.store, arrays, path)
     if meta.get("frozen", True):
         params.freeze()
     return params, meta

@@ -57,6 +57,55 @@ def test_nan_in_forward_raises():
         ad.scale(ad.const(np.array([1e308])), 1e308)
 
 
+def test_inference_values_match_the_tape_bitwise(rng):
+    store = ad.ParamStore()
+    store.add("q", rng.standard_normal((2, 2, 3, 4)))
+    store.add("kv", rng.standard_normal((2, 2, 5, 4)))
+    store.add("g", rng.standard_normal(4))
+    mask = np.ones((2, 5))
+    mask[1, 2:] = 0.0
+
+    def build():
+        q, kv = ad.param(store, "q"), ad.param(store, "kv")
+        ctx = ad.attention(q, kv, kv, mask, 0.5)
+        normed = ad.layernorm(ad.relu(ctx), ad.param(store, "g"), ad.const(np.zeros(4)))
+        return ad.l2_normalize(ad.matmul(normed, ad.transpose(normed, (0, 1, 3, 2))))
+
+    taped = build()
+    with ad.inference():
+        untaped = build()
+    assert np.array_equal(untaped.values, taped.values)
+    assert taped.parents and untaped.parents is None
+
+
+def test_inference_non_finite_forward_names_the_op():
+    with ad.inference():
+        with pytest.raises(ad.GradientError, match="'scale'"):
+            ad.scale(ad.const(np.array([1e308])), 1e308)
+
+
+def test_backward_through_an_inference_node_raises():
+    store = ad.ParamStore()
+    store.add("w", np.array([1.0, 2.0]))
+    with ad.inference():
+        node = ad.tsum(ad.mul(ad.param(store, "w"), ad.param(store, "w")))
+    with pytest.raises(ad.GradientError, match="inference"):
+        ad.backward(node)
+    with pytest.raises(ad.GradientError, match="inference"):
+        ad.eval_and_grad(ad.Graph(ad.add(node, ad.param(store, "w"))), store)
+
+
+def test_inference_mode_is_restored_after_an_exception():
+    store = ad.ParamStore()
+    store.add("w", np.array([3.0]))
+    with pytest.raises(ad.GradientError):
+        with ad.inference():
+            with ad.inference():
+                ad.scale(ad.const(np.array([np.inf])), 2.0)
+    loss, grads = ad.eval_and_grad(ad.Graph(ad.tsum(ad.mul(ad.param(store, "w"), ad.param(store, "w")))), store)
+    assert loss == 9.0 and grads["w"][0] == 6.0
+
+
 def test_eval_and_grad_bitwise_deterministic(rng):
     store = ad.ParamStore()
     store.add("w", rng.standard_normal((4, 4)))

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 import setcomplete.model as sm
+from setcomplete.evaluation import top1_ids
 from setcomplete.model import (
     ModelConfig,
     SlotInit,
     build_variant,
+    complete_batch,
     complete_features,
     cst_forward,
+    cst_graph,
     embed_conditions,
     get_forward_count,
     reset_forward_count,
+    slots_graph,
     st_encode,
     st_sequential_complete,
 )
@@ -158,3 +163,59 @@ def test_build_variant_is_seed_deterministic():
     assert a.store.checksum() == b.store.checksum()
     c = build_variant("CR", CONFIG, seed=12)
     assert a.store.checksum() != c.store.checksum()
+
+
+@pytest.mark.parametrize("tag", ["CR", "xR"])
+def test_complete_features_equals_tape_forward_and_batch_of_one(tag):
+    params = build_variant(tag, CONFIG, seed=12)
+    rng = np.random.default_rng(12)
+    for m in (1, 3, 5):
+        x = random_set(rng, 4)
+        labels = np.array(rng.integers(0, 6, size=m))
+        init = SlotInit(mode="gaussian", seed=m)
+        got = complete_features(x, labels, params, init).features
+        z0, z_mask = slots_graph(params, [labels], m, init)
+        taped = cst_graph(params, x.features[None], x.mask[None], z0, z_mask)
+        assert taped.parents is not None
+        assert np.array_equal(got, taped.values[0])
+        assert np.array_equal(got, complete_batch([x], [labels], params, init)[0])
+        if params.conditioned:  # the lookup rows as an explicit condition set
+            assert np.array_equal(got, cst_forward(x, embed_conditions(labels, params.embedding), params).features)
+
+
+def test_complete_batch_rejects_bad_inputs(rng):
+    params = build_variant("CR", CONFIG, seed=13)
+    x = random_set(rng, 3)
+    with pytest.raises(ValueError):
+        complete_batch([x], [[]], params)
+    with pytest.raises(ValueError):
+        complete_batch([x, x], [[0]], params)
+    with pytest.raises(ValueError):
+        complete_batch([random_set(rng, 3, dim=8)], [[0]], params)
+    with pytest.raises(ValueError):
+        complete_batch([x], [[6]], params)
+
+
+BATCH_PARAMS = {tag: build_variant(tag, CONFIG, seed=14) for tag in ("CR", "Cx")}
+_ROWS = np.random.default_rng(14).standard_normal((60, 16))
+BATCH_INDEX = build_index_from_rows(_ROWS / np.linalg.norm(_ROWS, axis=1, keepdims=True), np.arange(60) % 6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tag=hst.sampled_from(["CR", "Cx"]),
+    shapes=hst.lists(hst.tuples(hst.integers(1, 7), hst.integers(1, 5)), min_size=1, max_size=6),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_complete_batch_matches_per_query_calls(tag, shapes, seed):
+    """Padding a query into a batch may move the last bit, never the top-1 item."""
+    params = BATCH_PARAMS[tag]
+    rng = np.random.default_rng(seed)
+    xs = [random_set(rng, n) for n, _ in shapes]
+    labels = [rng.integers(0, 6, size=m) for _, m in shapes]
+    batched = complete_batch(xs, labels, params)
+    for x, lab, rows in zip(xs, labels, batched):
+        single = complete_features(x, lab, params).features
+        assert rows.shape == single.shape
+        assert np.max(np.abs(rows - single)) <= 1e-12
+        assert np.array_equal(top1_ids(BATCH_INDEX, rows), top1_ids(BATCH_INDEX, single))

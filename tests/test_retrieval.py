@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from setcomplete.data import Catalog, GenConfig, Item, generate_dataset
-from setcomplete.retrieval import AnnConfig, RetrievalIndex, build_index
+from setcomplete.retrieval import ROWWISE_MAX_ROWS, AnnConfig, RetrievalIndex, build_index
 from setcomplete.sets import l2_rows
 
 
@@ -30,6 +30,20 @@ def test_exact_matches_linear_scan_on_200_queries(rng):
     queries = l2_rows(rng.standard_normal((200, 8)))
     for q in queries:
         assert index.query_knn(q, k=10) == brute_force(index, q, 10)
+
+
+def test_similarities_of_few_rows_do_not_depend_on_the_batch(rng):
+    index = build_index(make_catalog(rng, n=300))
+    for count in (1, 3, ROWWISE_MAX_ROWS, ROWWISE_MAX_ROWS + 1, 40):
+        queries = l2_rows(rng.standard_normal((count, 8)))
+        sims = index.similarities(queries)
+        assert sims.shape == (count, 300)
+        assert np.max(np.abs(sims - queries @ index.features.T)) < 1e-12
+        if count <= ROWWISE_MAX_ROWS:
+            for row, q in zip(sims, queries):
+                assert np.array_equal(row, index.similarities(q[None])[0])
+        batch = index.query_knn_batch(queries, k=5)
+        assert [list(ids) for ids in batch] == [[i for i, _ in brute_force(index, q, 5)] for q in queries]
 
 
 def test_duplicate_features_tie_break_ascending_id(rng):

@@ -5,6 +5,7 @@ import pytest
 
 from setcomplete import autodiff as ad
 from setcomplete.model import build_variant
+from setcomplete.serialize import load_arrays, save_arrays
 from setcomplete.training import (
     LOG_COLUMNS,
     TrainConfig,
@@ -48,11 +49,17 @@ def test_ce_only_variant_logs_zero_sm(tiny_data):
     assert history[0]["ce"] > 0.0
 
 
-def test_chamfer_variant_folds_into_total(tiny_data):
+def test_chamfer_variant_folds_into_total(tiny_data, tmp_path):
     catalog, outfits = tiny_data
     params, history = train_cst(catalog, outfits, None, tiny_config(variant="xx", epochs=1))
     assert history[0]["ce"] == 0.0
     assert history[0]["total"] > 0.0
+    path = tmp_path / "log.csv"
+    write_log_csv(path, history)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert float(rows[0]["chamfer"]) > 0.0
+    assert float(rows[0]["chamfer"]) == history[0]["total"]
 
 
 def test_training_is_bitwise_deterministic(tiny_data, tiny_scorer):
@@ -118,6 +125,30 @@ def test_match_checkpoint_roundtrip_preserves_freeze(tmp_path, tiny_scorer):
     loaded, _ = load_match_checkpoint(path)
     assert loaded.frozen == tiny_scorer.frozen
     assert loaded.checksum() == tiny_scorer.checksum()
+
+
+def _rewrite_checkpoint(path, edit):
+    arrays, meta = load_arrays(path)
+    edit(arrays)
+    save_arrays(path, arrays, meta)
+
+
+def test_match_checkpoint_missing_parameter_rejected(tmp_path, tiny_scorer):
+    path = tmp_path / "scorer.ckpt"
+    save_match_checkpoint(path, tiny_scorer)
+    _rewrite_checkpoint(path, lambda arrays: arrays.pop("cross.wq"))
+    with pytest.raises(ValueError, match=r"missing \['cross.wq'\]") as err:
+        load_match_checkpoint(path)
+    assert "\n" not in str(err.value)
+
+
+def test_match_checkpoint_wrong_shape_rejected(tmp_path, tiny_scorer):
+    path = tmp_path / "scorer.ckpt"
+    save_match_checkpoint(path, tiny_scorer)
+    _rewrite_checkpoint(path, lambda arrays: arrays.update(head_b1=np.zeros(1)))
+    with pytest.raises(ValueError, match="shape mismatch for 'head_b1'") as err:
+        load_match_checkpoint(path)
+    assert "\n" not in str(err.value)
 
 
 def test_checkpoint_kind_mismatch_rejected(tmp_path, tiny_scorer):
