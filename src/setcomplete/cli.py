@@ -7,8 +7,7 @@ files are never overwritten unless --force is given. Config files are flat
 JSON dicts whose keys mirror the config dataclasses; command-line flags
 override config values, which override defaults.
 
-Set SETCOMPLETE_LOG=debug|info|warning to control verbosity and
-SETCOMPLETE_NUMBA=0|1 to pin the kernel backend.
+Set SETCOMPLETE_LOG=debug|info|warning to control verbosity.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .data import (
     GenConfig,
     generate_dataset,
@@ -277,17 +276,7 @@ def cmd_bench(args) -> int:
         build_index(catalog, item_ids=[int(i) for i in rng.choice(catalog.ids, size=n, replace=False)])
         for n in sizes
     ]
-    backends = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
-    rows = []
-    previous = kernels.get_backend()
-    try:
-        for backend in backends:
-            kernels.set_backend(backend)
-            for row in timing_benchmark(models, indexes, x, labels_pool, repeats=args.repeats):
-                row["backend"] = backend
-                rows.append(row)
-    finally:
-        kernels.set_backend(previous)
+    rows = timing_benchmark(models, indexes, x, labels_pool, repeats=args.repeats)
     (out_dir / "bench.json").write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     import csv as _csv
 
@@ -296,10 +285,8 @@ def cmd_bench(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
     _finish_manifest(manifest)
-    for backend in backends:
-        sub = [r for r in rows if r["backend"] == backend and r["model"] == "cst"]
-        med = np.median([r["median_seconds"] for r in sub])
-        print(f"{backend}: cst median completion {med * 1e3:.2f} ms over {len(sub)} settings")
+    cst = [r["median_seconds"] for r in rows if r["model"] == "cst"]
+    print(f"cst median completion {np.median(cst) * 1e3:.2f} ms over {len(cst)} settings")
     return 0
 
 
@@ -377,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer", help="scorer checkpoint (score selection)")
     p.set_defaults(handler=cmd_finb)
 
-    p = sub.add_parser("bench", help="timing benchmark across backends and index sizes")
+    p = sub.add_parser("bench", help="timing benchmark across models and index sizes")
     common(p)
     p.add_argument("--sizes", help="comma-separated index sizes (default 1000,5000)")
     p.add_argument("--repeats", type=int, default=30)

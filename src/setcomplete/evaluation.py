@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from . import kernels
 from .data import Catalog, Outfit, SplitTriple, split_outfit
 from .matching import MatchParams, category_matched_negative, match_score_batch
 from .model import (
@@ -298,45 +297,39 @@ def timing_benchmark(
     """Median completion time and forward-pass counts per (model, M, index).
 
     A completion is one model inference plus top-1 retrieval per element
-    (sequential baseline: one inference and one query per step).
+    (sequential baseline: one inference and one query per step). Each of the
+    `repeats` passes times every setting once, so a burst of host load is
+    spread over all settings instead of landing on one.
     """
     if repeats < 3:
         raise ValueError("need at least 3 repeats for a stable median")
-    kernels.warmup()
-    rows: list[dict] = []
+
+    def completion(params, labels, index):
+        if params.variant == "st":
+            return lambda: st_sequential_complete(x, labels, params, index)
+        return lambda: top1_ids(index, complete_batch([x], [labels], params, SlotInit(mode="gaussian", seed=1))[0])
+
+    settings = []
     for index in indexes:
         for name, params in models.items():
             for m in m_values:
                 labels = [int(labels_pool[i % len(labels_pool)]) for i in range(m)]
-
-                def run():
-                    if params.variant == "st":
-                        st_sequential_complete(x, labels, params, index)
-                    else:
-                        (yhat,) = complete_batch([x], [labels], params, SlotInit(mode="gaussian", seed=1))
-                        top1_ids(index, yhat)
-
+                run = completion(params, labels, index)
                 run()  # warmup pass
                 reset_forward_count()
                 run()
-                passes = get_forward_count()
-                times = []
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    run()
-                    times.append(time.perf_counter() - t0)
-                rows.append(
-                    {
-                        "model": name,
-                        "variant": params.variant,
-                        "m": int(m),
-                        "index_size": len(index),
-                        "median_seconds": float(np.median(times)),
-                        "forward_passes": int(passes),
-                        "repeats": int(repeats),
-                    }
-                )
-    return rows
+                settings.append(({"model": name, "variant": params.variant, "m": int(m),
+                                  "index_size": len(index)}, run, get_forward_count()))
+    times: list[list[float]] = [[] for _ in settings]
+    for _ in range(repeats):
+        for samples, (_, run, _) in zip(times, settings):
+            t0 = time.perf_counter()
+            run()
+            samples.append(time.perf_counter() - t0)
+    return [
+        {**row, "median_seconds": float(np.median(samples)), "forward_passes": int(passes), "repeats": int(repeats)}
+        for samples, (row, _, passes) in zip(times, settings)
+    ]
 
 
 # -- abstract complexity ----------------------------------------------------------------

@@ -1,65 +1,15 @@
-"""Low-level numeric kernels with numba-jitted and pure-numpy implementations.
+"""Low-level numeric kernels in numpy.
 
 The hot inner loops of the package live here: masked multi-head attention
 (forward and backward), layer normalization (forward and backward), top-k
 selection with deterministic tie-breaking, and nearest-centroid assignment.
-Every kernel has two implementations that agree numerically; the active
-backend is chosen once from the ``SETCOMPLETE_NUMBA`` environment variable
-("1" forces numba, "0" forces numpy, anything else auto-detects) and can be
-switched at runtime with :func:`set_backend`, e.g. for benchmarking.
 
 All kernels are deterministic: no threading, no reduction reordering.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _backend_from_env() -> str:
-    raw = os.environ.get("SETCOMPLETE_NUMBA", "auto").strip().lower()
-    if raw in ("0", "false", "no", "numpy", "off"):
-        return "numpy"
-    if raw in ("1", "true", "yes", "numba", "on"):
-        if not HAVE_NUMBA:
-            raise RuntimeError("SETCOMPLETE_NUMBA=1 but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _backend_from_env()
-
-
-def set_backend(name: str) -> None:
-    """Select the kernel backend: "numba" or "numpy"."""
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    global _BACKEND
-    _BACKEND = name
-
-
-def get_backend() -> str:
-    return _BACKEND
 
 
 def _c(x: np.ndarray) -> np.ndarray:
@@ -76,8 +26,10 @@ def _c(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _attn_forward_np(q, k, v, key_mask, scale):
-    logits = np.matmul(q, k.swapaxes(-1, -2)) * scale  # (B, H, M, N)
+def attn_forward(q, k, v, key_mask, scale):
+    """Masked multi-head attention; returns (context, attention weights)."""
+    q, k, v, key_mask = _c(q), _c(k), _c(v), _c(key_mask)
+    logits = np.matmul(q, k.swapaxes(-1, -2)) * float(scale)  # (B, H, M, N)
     valid = key_mask[:, None, None, :] > 0.0
     bounded = np.where(valid, logits, -np.inf)
     rowmax = bounded.max(axis=-1, keepdims=True)
@@ -87,101 +39,15 @@ def _attn_forward_np(q, k, v, key_mask, scale):
     return ctx, weights
 
 
-def _attn_backward_np(g_ctx, q, k, v, weights, key_mask, scale):
+def attn_backward(g_ctx, q, k, v, weights, key_mask, scale):
+    g_ctx, q, k, v, weights = _c(g_ctx), _c(q), _c(k), _c(v), _c(weights)
     dv = np.matmul(weights.swapaxes(-1, -2), g_ctx)
     dw = np.matmul(g_ctx, v.swapaxes(-1, -2))
     dlogits = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True))
-    dlogits *= scale
+    dlogits *= float(scale)
     dq = np.matmul(dlogits, k)
     dk = np.matmul(dlogits.swapaxes(-1, -2), q)
     return dq, dk, dv
-
-
-@njit(cache=True)
-def _attn_forward_nb(q, k, v, key_mask, scale):  # pragma: no cover - jitted
-    B, H, M, dh = q.shape
-    N = k.shape[2]
-    ctx = np.zeros((B, H, M, dh))
-    w = np.zeros((B, H, M, N))
-    for b in range(B):
-        for h in range(H):
-            for m in range(M):
-                rowmax = -1.0e300
-                for n in range(N):
-                    if key_mask[b, n] > 0.0:
-                        s = 0.0
-                        for d in range(dh):
-                            s += q[b, h, m, d] * k[b, h, n, d]
-                        s *= scale
-                        w[b, h, m, n] = s
-                        if s > rowmax:
-                            rowmax = s
-                total = 0.0
-                for n in range(N):
-                    if key_mask[b, n] > 0.0:
-                        e = math.exp(w[b, h, m, n] - rowmax)
-                        w[b, h, m, n] = e
-                        total += e
-                    else:
-                        w[b, h, m, n] = 0.0
-                inv = 1.0 / total
-                for n in range(N):
-                    if w[b, h, m, n] != 0.0:
-                        wn = w[b, h, m, n] * inv
-                        w[b, h, m, n] = wn
-                        for d in range(dh):
-                            ctx[b, h, m, d] += wn * v[b, h, n, d]
-    return ctx, w
-
-
-@njit(cache=True)
-def _attn_backward_nb(g_ctx, q, k, v, weights, key_mask, scale):  # pragma: no cover
-    B, H, M, dh = q.shape
-    N = k.shape[2]
-    dq = np.zeros_like(q)
-    dk = np.zeros_like(k)
-    dv = np.zeros_like(v)
-    for b in range(B):
-        for h in range(H):
-            for m in range(M):
-                inner = 0.0
-                for n in range(N):
-                    wn = weights[b, h, m, n]
-                    if wn != 0.0:
-                        dwn = 0.0
-                        for d in range(dh):
-                            gd = g_ctx[b, h, m, d]
-                            dv[b, h, n, d] += wn * gd
-                            dwn += gd * v[b, h, n, d]
-                        inner += dwn * wn
-                for n in range(N):
-                    wn = weights[b, h, m, n]
-                    if wn != 0.0:
-                        dwn = 0.0
-                        for d in range(dh):
-                            dwn += g_ctx[b, h, m, d] * v[b, h, n, d]
-                        dl = wn * (dwn - inner) * scale
-                        for d in range(dh):
-                            dq[b, h, m, d] += dl * k[b, h, n, d]
-                            dk[b, h, n, d] += dl * q[b, h, m, d]
-    return dq, dk, dv
-
-
-def attn_forward(q, k, v, key_mask, scale):
-    """Masked multi-head attention; returns (context, attention weights)."""
-    q, k, v, key_mask = _c(q), _c(k), _c(v), _c(key_mask)
-    if _BACKEND == "numba":
-        return _attn_forward_nb(q, k, v, key_mask, float(scale))
-    return _attn_forward_np(q, k, v, key_mask, float(scale))
-
-
-def attn_backward(g_ctx, q, k, v, weights, key_mask, scale):
-    g_ctx = _c(g_ctx)
-    q, k, v, key_mask = _c(q), _c(k), _c(v), _c(key_mask)
-    weights = _c(weights)
-    if _BACKEND == "numba":
-        return _attn_backward_nb(g_ctx, q, k, v, weights, key_mask, float(scale))
-    return _attn_backward_np(g_ctx, q, k, v, weights, key_mask, float(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +55,19 @@ def attn_backward(g_ctx, q, k, v, weights, key_mask, scale):
 # ---------------------------------------------------------------------------
 
 
-def _ln_forward_np(x, gamma, beta, eps):
+def layernorm_forward(x, gamma, beta, eps):
+    """Normalize rows of a 2-D array; returns (y, xhat, rstd)."""
+    x, gamma, beta = _c(x), _c(gamma), _c(beta)
     mu = x.mean(axis=1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    rstd = 1.0 / np.sqrt(var + eps)
+    rstd = 1.0 / np.sqrt(var + float(eps))
     xhat = xc * rstd
     return xhat * gamma + beta, xhat, rstd[:, 0]
 
 
-def _ln_backward_np(g, xhat, rstd, gamma):
+def layernorm_backward(g, xhat, rstd, gamma):
+    g, xhat, rstd, gamma = _c(g), _c(xhat), _c(rstd), _c(gamma)
     gx = g * gamma
     m1 = gx.mean(axis=1, keepdims=True)
     m2 = (gx * xhat).mean(axis=1, keepdims=True)
@@ -208,117 +77,29 @@ def _ln_backward_np(g, xhat, rstd, gamma):
     return dx, dgamma, dbeta
 
 
-@njit(cache=True)
-def _ln_forward_nb(x, gamma, beta, eps):  # pragma: no cover - jitted
-    R, D = x.shape
-    y = np.empty_like(x)
-    xhat = np.empty_like(x)
-    rstd = np.empty(R)
-    for r in range(R):
-        mu = 0.0
-        for d in range(D):
-            mu += x[r, d]
-        mu /= D
-        var = 0.0
-        for d in range(D):
-            c = x[r, d] - mu
-            var += c * c
-        var /= D
-        rs = 1.0 / math.sqrt(var + eps)
-        rstd[r] = rs
-        for d in range(D):
-            h = (x[r, d] - mu) * rs
-            xhat[r, d] = h
-            y[r, d] = h * gamma[d] + beta[d]
-    return y, xhat, rstd
-
-
-@njit(cache=True)
-def _ln_backward_nb(g, xhat, rstd, gamma):  # pragma: no cover - jitted
-    R, D = g.shape
-    dx = np.empty_like(g)
-    dgamma = np.zeros(D)
-    dbeta = np.zeros(D)
-    for r in range(R):
-        m1 = 0.0
-        m2 = 0.0
-        for d in range(D):
-            gx = g[r, d] * gamma[d]
-            m1 += gx
-            m2 += gx * xhat[r, d]
-        m1 /= D
-        m2 /= D
-        rs = rstd[r]
-        for d in range(D):
-            gx = g[r, d] * gamma[d]
-            dx[r, d] = (gx - m1 - xhat[r, d] * m2) * rs
-            dgamma[d] += g[r, d] * xhat[r, d]
-            dbeta[d] += g[r, d]
-    return dx, dgamma, dbeta
-
-
-def layernorm_forward(x, gamma, beta, eps):
-    """Normalize rows of a 2-D array; returns (y, xhat, rstd)."""
-    x, gamma, beta = _c(x), _c(gamma), _c(beta)
-    if _BACKEND == "numba":
-        return _ln_forward_nb(x, gamma, beta, float(eps))
-    return _ln_forward_np(x, gamma, beta, float(eps))
-
-
-def layernorm_backward(g, xhat, rstd, gamma):
-    g, xhat, rstd, gamma = _c(g), _c(xhat), _c(rstd), _c(gamma)
-    if _BACKEND == "numba":
-        return _ln_backward_nb(g, xhat, rstd, gamma)
-    return _ln_backward_np(g, xhat, rstd, gamma)
-
-
 # ---------------------------------------------------------------------------
 # top-k selection by (score desc, id asc); returns positions into `scores`
 # ---------------------------------------------------------------------------
 
 
-def _topk_np(scores, ids, k):
-    k = min(k, scores.shape[0])
-    order = np.lexsort((ids, -scores))
-    return np.ascontiguousarray(order[:k])
-
-
-@njit(cache=True)
-def _topk_nb(scores, ids, k):  # pragma: no cover - jitted
-    n = scores.shape[0]
-    kk = min(k, n)
-    pos = np.empty(kk, np.int64)
-    bs = np.empty(kk)
-    bi = np.empty(kk, np.int64)
-    count = 0
-    for i in range(n):
-        s = scores[i]
-        d = ids[i]
-        if count < kk:
-            j = count
-            count += 1
-        elif bs[kk - 1] < s or (bs[kk - 1] == s and bi[kk - 1] > d):
-            j = kk - 1
-        else:
-            continue
-        while j > 0 and (bs[j - 1] < s or (bs[j - 1] == s and bi[j - 1] > d)):
-            bs[j] = bs[j - 1]
-            bi[j] = bi[j - 1]
-            pos[j] = pos[j - 1]
-            j -= 1
-        bs[j] = s
-        bi[j] = d
-        pos[j] = i
-    return pos[:count]
-
-
 def topk_select(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k best entries, scores descending, ids break ties."""
+    """Positions of the k best entries, scores descending, ids break ties.
+
+    The result is ``np.lexsort((ids, -scores))[:k]``, NaN scores last. A
+    partition finds the k-th best score; every position scoring at least
+    that much (all ties at the cut included) is then lexsorted, so only that
+    slice is sorted, not all n scores.
+    """
     scores = _c(scores)
     ids = np.ascontiguousarray(ids, dtype=np.int64)
-    if _BACKEND == "numba":
-        return _topk_nb(scores, ids, int(k))
-    return _topk_np(scores, ids, int(k))
+    k = int(k)
+    if 0 < k < scores.shape[0]:
+        cut = scores[np.argpartition(-scores, k - 1)[:k]].min()
+        pool = np.flatnonzero(scores >= cut)
+        # fewer than k pass only when NaN scores fill the partition (cut is NaN)
+        if len(pool) >= k:
+            return pool[np.lexsort((ids[pool], -scores[pool]))[:k]]
+    return np.lexsort((ids, -scores))[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -326,62 +107,10 @@ def topk_select(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _assign_np(feats, centroids):
+def assign_nearest(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of the closest centroid per row (ties to the lowest index)."""
+    feats, centroids = _c(feats), _c(centroids)
     fn = (feats * feats).sum(axis=1)
     cn = (centroids * centroids).sum(axis=1)
     d2 = fn[:, None] + cn[None, :] - 2.0 * feats @ centroids.T
     return d2.argmin(axis=1).astype(np.int64)
-
-
-@njit(cache=True)
-def _assign_nb(feats, centroids):  # pragma: no cover - jitted
-    N, D = feats.shape
-    K = centroids.shape[0]
-    cn = np.empty(K)
-    for c in range(K):
-        s = 0.0
-        for d in range(D):
-            s += centroids[c, d] * centroids[c, d]
-        cn[c] = s
-    labels = np.empty(N, np.int64)
-    for i in range(N):
-        fn = 0.0
-        for d in range(D):
-            fn += feats[i, d] * feats[i, d]
-        best = 0
-        bestd = 1.0e300
-        for c in range(K):
-            dot = 0.0
-            for d in range(D):
-                dot += feats[i, d] * centroids[c, d]
-            d2 = fn + cn[c] - 2.0 * dot
-            if d2 < bestd:
-                bestd = d2
-                best = c
-        labels[i] = best
-    return labels
-
-
-def assign_nearest(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of the closest centroid per row (ties to the lowest index)."""
-    feats, centroids = _c(feats), _c(centroids)
-    if _BACKEND == "numba":
-        return _assign_nb(feats, centroids)
-    return _assign_np(feats, centroids)
-
-
-def warmup() -> None:
-    """Trigger jit compilation of every kernel (no-op on the numpy backend)."""
-    if _BACKEND != "numba":
-        return
-    rng = np.random.default_rng(0)
-    q = rng.normal(size=(1, 2, 3, 4))
-    k = rng.normal(size=(1, 2, 5, 4))
-    mask = np.ones((1, 5))
-    ctx, w = attn_forward(q, k, k, mask, 0.5)
-    attn_backward(np.ones_like(ctx), q, k, k, w, mask, 0.5)
-    x = rng.normal(size=(3, 4))
-    y, xhat, rstd = layernorm_forward(x, np.ones(4), np.zeros(4), 1e-5)
-    layernorm_backward(np.ones_like(y), xhat, rstd, np.ones(4))
-    topk_select(rng.normal(size=16), np.arange(16, dtype=np.int64), 4)
-    assign_nearest(rng.normal(size=(8, 4)), rng.normal(size=(3, 4)))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .serialize import load_arrays, save_arrays
+from .serialize import config_from_meta, load_arrays, save_arrays
 from .sets import l2_rows
 
 INDEX_VERSION = 1
@@ -122,20 +122,22 @@ class RetrievalIndex:
         """(D, N) copy of the features, made on the first row-wise product."""
         return np.ascontiguousarray(self.features.T)
 
-    def _candidates(self, query: np.ndarray, category_filter, mode: str) -> np.ndarray:
+    def _candidates(self, query: np.ndarray, category_filter, mode: str):
+        """Rows to scan: an index array, or ``slice(None)`` for every row (read as views, no copy)."""
         if mode == "exact":
-            rows = np.arange(len(self.ids))
-        elif mode == "approx":
-            if self._members is None:
-                raise ValueError("index was built without clustering")
-            sims = self.centroids @ query
-            order = kernels.topk_select(sims, np.arange(len(sims), dtype=np.int64), self.ann.probes)
-            rows = np.concatenate([self._members[c] for c in order]) if len(order) else np.array([], dtype=np.int64)
-        else:
+            if category_filter is None:
+                return slice(None)
+            return self._cat_rows.get(int(category_filter), np.array([], dtype=np.int64))
+        if mode != "approx":
             raise ValueError(f"unknown mode {mode!r}")
+        if self._members is None:
+            raise ValueError("index was built without clustering")
+        sims = self.centroids @ query
+        order = kernels.topk_select(sims, np.arange(len(sims), dtype=np.int64), self.ann.probes)
+        rows = np.concatenate([self._members[c] for c in order]) if len(order) else np.array([], dtype=np.int64)
         if category_filter is not None:
             allowed = self._cat_rows.get(int(category_filter), np.array([], dtype=np.int64))
-            rows = rows[np.isin(rows, allowed)] if mode == "approx" else allowed
+            rows = rows[np.isin(rows, allowed)]
         return rows
 
     def query_knn(self, query: np.ndarray, k: int, category_filter: int | None = None, mode: str = "exact") -> list[tuple[int, float]]:
@@ -144,11 +146,12 @@ class RetrievalIndex:
             raise ValueError("k must be at least 1")
         query = np.asarray(query, dtype=np.float64)
         rows = self._candidates(query, category_filter, mode)
-        if len(rows) == 0:
+        ids = self.ids[rows]
+        if len(ids) == 0:
             raise ValueError("no candidates after filtering")
         sims = self.features[rows] @ query
-        pick = kernels.topk_select(sims, self.ids[rows], min(k, len(rows)))
-        return [(int(self.ids[rows[p]]), float(sims[p])) for p in pick]
+        pick = kernels.topk_select(sims, ids, min(k, len(ids)))
+        return [(int(ids[p]), float(sims[p])) for p in pick]
 
     def query_knn_batch(self, queries: np.ndarray, k: int, mode: str = "exact") -> list[np.ndarray]:
         """Unfiltered ids of the top-k neighbors for each query row."""
@@ -176,16 +179,34 @@ class RetrievalIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "RetrievalIndex":
+        """Read an index written by :meth:`save`; a malformed file raises a one-line ValueError."""
         arrays, meta = load_arrays(path)
         if meta.get("kind") != "retrieval-index":
             raise ValueError("not a retrieval index file")
         if meta.get("version") != INDEX_VERSION:
             raise ValueError(f"unsupported index version {meta.get('version')}")
-        ann = AnnConfig(**meta["ann"]) if meta.get("ann") else None
-        return cls(
-            arrays["ids"], arrays["features"], arrays["categories"],
-            ann=ann, centroids=arrays.get("centroids"), assignments=arrays.get("assignments"),
-        )
+        ann = config_from_meta(AnnConfig, meta["ann"], path, "ann") if meta.get("ann") else None
+        want = {"ids", "features", "categories"} | ({"centroids", "assignments"} if ann else set())
+        missing, unknown = sorted(want - set(arrays)), sorted(set(arrays) - want)
+        if missing or unknown:
+            raise ValueError(f"{path}: index arrays missing {missing}, unknown {unknown}")
+        try:
+            features = arrays["features"]
+            if features.ndim != 2:
+                raise ValueError(f"field 'features' must be 2-D, got shape {features.shape}")
+            if ann is not None:
+                ann.validate()
+                centroids, assignments = arrays["centroids"], arrays["assignments"]
+                if centroids.shape != (ann.clusters, features.shape[1]):
+                    raise ValueError(f"field 'centroids' has shape {centroids.shape}, "
+                                     f"expected {(ann.clusters, features.shape[1])}")
+                if (assignments.dtype != np.int64 or assignments.shape != arrays["ids"].shape
+                        or not np.all((assignments >= 0) & (assignments < ann.clusters))):
+                    raise ValueError(f"field 'assignments' must hold one cluster id in [0, {ann.clusters}) per item")
+            return cls(arrays["ids"], features, arrays["categories"],
+                       ann=ann, centroids=arrays.get("centroids"), assignments=arrays.get("assignments"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def build_index(catalog, ann_config: AnnConfig | None = None, item_ids=None) -> RetrievalIndex:

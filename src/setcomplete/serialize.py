@@ -8,6 +8,7 @@ zip-based formats do not guarantee (they embed timestamps).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -75,3 +76,13 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], meta: dict | No
 
 def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return unpack_arrays(Path(path).read_bytes())
+
+
+def config_from_meta(cls, raw, path: str | Path, field: str):
+    """Build the config dataclass `cls` from the metadata entry `field`, rejecting keys it lacks."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: metadata field {field!r} must be an object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"{path}: metadata field {field!r} has unknown keys {unknown}")
+    return cls(**raw)

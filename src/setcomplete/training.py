@@ -21,7 +21,7 @@ from .losses import LossConfig, batch_loss_graph
 from .matching import MatchConfig, MatchParams, init_match_params, pretrain_matching
 from .model import CSTParams, ModelConfig, SlotInit, build_variant
 from .retrieval import build_index
-from .serialize import load_arrays, save_arrays
+from .serialize import config_from_meta, load_arrays, save_arrays
 
 LOG_COLUMNS = ("epoch", "ce", "chamfer", "sm", "total", "val_recall", "val_accuracy", "val_smd")
 
@@ -88,7 +88,7 @@ def load_cst_checkpoint(path: str | Path) -> tuple[CSTParams, dict]:
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "cst-checkpoint":
         raise ValueError("not a model checkpoint")
-    params = build_variant(meta["variant"], ModelConfig(**meta["config"]))
+    params = build_variant(meta["variant"], config_from_meta(ModelConfig, meta.get("config"), path, "config"))
     _load_params(params.store, arrays, path)
     return params, meta
 
@@ -107,7 +107,7 @@ def load_match_checkpoint(path: str | Path) -> tuple[MatchParams, dict]:
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "match-checkpoint":
         raise ValueError("not a scorer checkpoint")
-    params = init_match_params(MatchConfig(**meta["config"]))
+    params = init_match_params(config_from_meta(MatchConfig, meta.get("config"), path, "config"))
     _load_params(params.store, arrays, path)
     if meta.get("frozen", True):
         params.freeze()

@@ -2,15 +2,6 @@ import numpy as np
 import pytest
 
 import setcomplete as sc
-from setcomplete import kernels
-
-
-@pytest.fixture(scope="session")
-def warmed():
-    """Compile the jit kernels once so timed tests measure steady state."""
-    kernels.warmup()
-    return True
-
 
 TINY_GEN = sc.GenConfig(
     categories=6, styles=4, catalog_size=300, outfits=400, dim=16,

@@ -44,7 +44,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def world(warmed):
+def world():
     t0 = time.perf_counter()
     catalog, outfits = sc.generate_dataset(GenConfig(seed=0))
     return {"catalog": catalog, "outfits": outfits, "gen_seconds": time.perf_counter() - t0}
@@ -70,7 +70,7 @@ def full_run(world):
 
 
 @pytest.fixture(scope="module")
-def trio(warmed):
+def trio():
     gen = GenConfig(categories=8, styles=6, catalog_size=600, outfits=1000, dim=16,
                     min_size=4, max_size=6, seed=7)
     catalog, outfits = sc.generate_dataset(gen)
@@ -91,7 +91,7 @@ def trio(warmed):
     return out
 
 
-def test_01_permutation_laws(warmed):
+def test_01_permutation_laws():
     t0 = time.perf_counter()
     worst = 0.0
     config = ModelConfig(dim=16, heads=4, slot_layers=2, sab_layers=1, categories=6)
@@ -125,7 +125,7 @@ def test_01_permutation_laws(warmed):
     report("permutation laws", ok, f"max dev {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_02_gradient_checks(warmed):
+def test_02_gradient_checks():
     t0 = time.perf_counter()
     config = ModelConfig(dim=8, heads=2, slot_layers=2, sab_layers=1, categories=5)
     params = build_variant("CR", config, seed=3)
@@ -275,7 +275,7 @@ def test_08_fill_in_n_blank(full_run):
            f"generated-feature selection {generated['accuracy']:.3f}")
 
 
-def test_09_scaling(world, warmed):
+def test_09_scaling(world):
     catalog = world["catalog"]
     index = build_index(catalog)
     config = ModelConfig()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setcomplete.data import Catalog, GenConfig, Item, generate_dataset
+from setcomplete.serialize import load_arrays, save_arrays
 from setcomplete.retrieval import ROWWISE_MAX_ROWS, AnnConfig, RetrievalIndex, build_index
 from setcomplete.sets import l2_rows
 
@@ -153,3 +155,77 @@ def test_duplicate_ids_rejected(rng):
     feats = l2_rows(rng.standard_normal((2, 4)))
     with pytest.raises(ValueError):
         RetrievalIndex(np.array([1, 1]), feats, np.array([0, 0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    distinct=st.integers(1, 4),
+    k=st.integers(1, 130),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_matches_linear_scan_with_duplicate_rows(n, distinct, k, seed):
+    rng = np.random.default_rng(seed)
+    pool = l2_rows(rng.standard_normal((distinct, 6)))
+    feats = pool[rng.integers(0, distinct, size=n)]
+    ids = rng.permutation(5 * n)[:n]
+    index = RetrievalIndex(ids, feats, ids % 3)
+    for q in np.vstack([pool, l2_rows(rng.standard_normal((2, 6)))]):
+        assert index.query_knn(q, k=k) == brute_force(index, q, k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    clusters=st.integers(1, 12),
+    probes=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_save_load_keeps_approx_results(tmp_path_factory, clusters, probes, seed):
+    rng = np.random.default_rng(seed)
+    index = build_index(make_catalog(rng, n=60), AnnConfig(clusters=clusters, probes=probes, iters=3, seed=seed % 97))
+    path = tmp_path_factory.mktemp("ivf") / "index.bin"
+    index.save(path)
+    loaded = RetrievalIndex.load(path)
+    for q in l2_rows(rng.standard_normal((5, 8))):
+        assert loaded.query_knn(q, k=7, mode="approx") == index.query_knn(q, k=7, mode="approx")
+
+
+def _drop(name):
+    return lambda arrays, meta: arrays.pop(name)
+
+
+def _cut_assignments(arrays, meta):
+    arrays["assignments"] = arrays["assignments"][:150]
+
+
+def _stray_cluster(arrays, meta):
+    arrays["assignments"][0] = 99
+
+
+def _narrow_centroids(arrays, meta):
+    arrays["centroids"] = arrays["centroids"][:, :4].copy()
+
+
+def _unknown_ann_key(arrays, meta):
+    meta["ann"]["depth"] = 3
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_cut_assignments, "assignments"),
+    (_stray_cluster, "assignments"),
+    (_drop("centroids"), "centroids"),
+    (_narrow_centroids, "centroids"),
+    (_drop("features"), "features"),
+    (_unknown_ann_key, "depth"),
+], ids=["assignments-cut", "assignments-out-of-range", "centroids-missing", "centroids-width",
+        "features-missing", "ann-unknown-key"])
+def test_load_rejects_malformed_index(rng, tmp_path, edit, field):
+    path = tmp_path / "index.bin"
+    build_index(make_catalog(rng, n=200), AnnConfig(clusters=8, probes=2, iters=2, seed=0)).save(path)
+    arrays, meta = load_arrays(path)
+    edit(arrays, meta)
+    save_arrays(path, arrays, meta)
+    with pytest.raises(ValueError, match=field) as err:
+        RetrievalIndex.load(path)
+    assert str(path) in str(err.value)
+    assert "\n" not in str(err.value)

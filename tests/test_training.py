@@ -163,3 +163,21 @@ def test_best_epoch_weights_are_kept(tiny_data, tiny_scorer):
     params, history = train_cst(catalog, outfits, tiny_scorer, tiny_config(variant="CR", epochs=3))
     best = max(history, key=lambda r: r["val_recall"])
     assert best["val_recall"] == max(r["val_recall"] for r in history)
+
+
+@pytest.mark.parametrize("kind", ["cst", "match"])
+def test_checkpoint_unknown_config_key_rejected(tmp_path, tiny_scorer, tiny_model_config, kind):
+    path = tmp_path / f"{kind}.ckpt"
+    if kind == "cst":
+        save_cst_checkpoint(path, build_variant("Cx", tiny_model_config))
+        load = load_cst_checkpoint
+    else:
+        save_match_checkpoint(path, tiny_scorer)
+        load = load_match_checkpoint
+    arrays, meta = load_arrays(path)
+    meta["config"]["depth"] = 3
+    save_arrays(path, arrays, meta)
+    with pytest.raises(ValueError, match=r"unknown keys \['depth'\]") as err:
+        load(path)
+    assert str(path) in str(err.value)
+    assert "\n" not in str(err.value)
