@@ -12,8 +12,11 @@ record nothing: a node keeps its values and drops its parents, so the result
 is bitwise the same while the tape bookkeeping is skipped. Such a node cannot
 be differentiated or re-run.
 
-Only the ops the models need are implemented. Everything is float64 and every
-op output is checked for NaN/Inf.
+Only the ops the models need are implemented. The attention block of the
+models is one op, :func:`mab`: its forward runs the whole block (projections,
+masked attention, residuals, layer norms, feed-forward) in plain numpy and its
+backward is written by hand, so a block is one node rather than a chain of
+small ones. Everything is float64 and every op output is checked for NaN/Inf.
 """
 
 from __future__ import annotations
@@ -500,60 +503,81 @@ def l2_normalize(a) -> Tensor:
     return _op("l2norm", (as_tensor(a),))
 
 
-# -- layer norm (kernel-backed) ---------------------------------------------------
+# -- attention block (fused, kernel-backed) ------------------------------------------
+#
+# One Set Transformer MAB per node: multi-head attention of q over kv, a
+# residual and layer norm, then a ReLU feed-forward with a second residual
+# and layer norm. Parents are q, kv and the 12 weights in the order wq, wk,
+# wv, wo, ff_w1, ff_b1, ff_w2, ff_b2, ln1_g, ln1_b, ln2_g, ln2_b. Rows are
+# flattened to 2-D for every product; only attention works per head.
 
 
-def _layernorm_fwd(t):
-    x, gamma, beta = (p.values for p in t.parents)
-    flat = x.reshape(-1, x.shape[-1])
-    y, xhat, rstd = kernels.layernorm_forward(flat, gamma, beta, LN_EPS)
-    return y.reshape(x.shape), (xhat, rstd)
+def _mab_fwd(t):
+    q, kv = t.parents[0].values, t.parents[1].values
+    wq, wk, wv, wo, w1, b1, w2, b2, g1, c1, g2, c2 = (p.values for p in t.parents[2:])
+    key_mask, heads = t.payload
+    (B, M, D), N = q.shape, kv.shape[1]
+    dh = D // heads
+    q2, kv2 = q.reshape(B * M, D), kv.reshape(B * N, D)
+
+    def split(x, n):
+        return np.ascontiguousarray(x.reshape(B, n, heads, dh).transpose(0, 2, 1, 3))
+
+    qp, kp, vp = split(q2 @ wq, M), split(kv2 @ wk, N), split(kv2 @ wv, N)
+    ctx, attn = kernels.attn_forward(qp, kp, vp, key_mask, 1.0 / math.sqrt(dh))
+    merged = ctx.transpose(0, 2, 1, 3).reshape(B * M, D)
+    h, xhat1, rstd1 = kernels.layernorm_forward(q2 + merged @ wo, g1, c1, LN_EPS)
+    act = np.maximum(h @ w1 + b1, 0.0)
+    y, xhat2, rstd2 = kernels.layernorm_forward(h + (act @ w2 + b2), g2, c2, LN_EPS)
+    return y.reshape(B, M, D), (qp, kp, vp, attn, merged, h, act, xhat1, rstd1, xhat2, rstd2)
 
 
-def _layernorm_bwd(t, g):
-    x, gamma, _ = (p.values for p in t.parents)
-    xhat, rstd = t.aux
-    flat_g = g.reshape(-1, g.shape[-1])
-    dx, dgamma, dbeta = kernels.layernorm_backward(flat_g, xhat, rstd, gamma)
-    return dx.reshape(x.shape), dgamma, dbeta
+def _mab_bwd(t, g):
+    qt, kvt = t.parents[0], t.parents[1]
+    wq, wk, wv, wo, w1, _, w2, _, g1, _, g2, _ = (p.values for p in t.parents[2:])
+    key_mask, heads = t.payload
+    qp, kp, vp, attn, merged, h, act, xhat1, rstd1, xhat2, rstd2 = t.aux
+    (B, M, D), N = qt.shape, kvt.shape[1]
+    dh = D // heads
+
+    def merge(x, n):
+        return x.transpose(0, 2, 1, 3).reshape(B * n, D)
+
+    dr2, dg2, dc2 = kernels.layernorm_backward(g.reshape(B * M, D), xhat2, rstd2, g2)
+    dpre = dr2 @ w2.T
+    dpre *= act > 0.0
+    dr1, dg1, dc1 = kernels.layernorm_backward(dr2 + dpre @ w1.T, xhat1, rstd1, g1)
+    dctx = np.ascontiguousarray((dr1 @ wo.T).reshape(B, M, heads, dh).transpose(0, 2, 1, 3))
+    dqp, dkp, dvp = kernels.attn_backward(dctx, qp, kp, vp, attn, key_mask, 1.0 / math.sqrt(dh))
+    dqp, dkp, dvp = merge(dqp, M), merge(dkp, N), merge(dvp, N)
+    dq = (dr1 + dqp @ wq.T).reshape(B, M, D) if qt.requires_grad else None
+    dkv = (dkp @ wk.T + dvp @ wv.T).reshape(B, N, D) if kvt.requires_grad else None
+    if not any(p.requires_grad for p in t.parents[2:]):
+        return (dq, dkv) + (None,) * 12  # frozen weights: skip their products
+    q2, kv2 = qt.values.reshape(B * M, D), kvt.values.reshape(B * N, D)
+    return (
+        dq, dkv, q2.T @ dqp, kv2.T @ dkp, kv2.T @ dvp, merged.T @ dr1,
+        h.T @ dpre, np.add.reduce(dpre, axis=0), act.T @ dr2, np.add.reduce(dr2, axis=0),
+        dg1, dc1, dg2, dc2,
+    )
 
 
-_FORWARD["layernorm"] = _layernorm_fwd
-_BACKWARD["layernorm"] = _layernorm_bwd
+_FORWARD["mab"] = _mab_fwd
+_BACKWARD["mab"] = _mab_bwd
 
 
-def layernorm(x, gamma, beta) -> Tensor:
-    """Normalize the feature (last) dimension, then scale and shift."""
-    return _op("layernorm", (as_tensor(x), as_tensor(gamma), as_tensor(beta)))
+def mab(q, kv, key_mask: np.ndarray, weights, heads: int) -> Tensor:
+    """One attention block: (B, M, D) queries attend to (B, N, D) key/values.
 
-
-# -- fused masked attention core (kernel-backed) -----------------------------------
-
-
-def _attention_fwd(t):
-    q, k, v = (p.values for p in t.parents)
-    key_mask, sc = t.payload
-    ctx, w = kernels.attn_forward(q, k, v, key_mask, sc)
-    return ctx, w
-
-
-def _attention_bwd(t, g):
-    q, k, v = (p.values for p in t.parents)
-    key_mask, sc = t.payload
-    dq, dk, dv = kernels.attn_backward(g, q, k, v, t.aux, key_mask, sc)
-    return dq, dk, dv
-
-
-_FORWARD["attention"] = _attention_fwd
-_BACKWARD["attention"] = _attention_bwd
-
-
-def attention(q, k, v, key_mask: np.ndarray, scale_: float) -> Tensor:
-    """Fused masked scaled-dot-product attention over (B, H, n, dh) tensors."""
+    key_mask (B, N) marks valid kv rows with 1.0; masked rows get exactly zero
+    attention weight. `weights` are the block's 12 tensors in the order above.
+    """
+    if len(weights) != 12:
+        raise ValueError(f"an attention block takes 12 weights, got {len(weights)}")
     key_mask = np.asarray(key_mask, dtype=np.float64)
     if key_mask.sum(axis=1).min() <= 0:
         raise ValueError("attention needs at least one valid key per batch entry")
-    return _op("attention", (as_tensor(q), as_tensor(k), as_tensor(v)), (key_mask, float(scale_)))
+    return _op("mab", (as_tensor(q), as_tensor(kv), *map(as_tensor, weights)), (key_mask, int(heads)))
 
 
 # -- chamfer (fused, masked, batched) ------------------------------------------------

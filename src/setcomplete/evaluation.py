@@ -243,44 +243,32 @@ def finb_eval(
 # -- diversity ----------------------------------------------------------------------
 
 
-def diversity_histogram(model, triples: list[SplitTriple], index: RetrievalIndex, top: int = 100, slot_seed: int = 0) -> dict:
-    """Frequency of each retrieved item over all completions."""
-    preds = _predictions(model, triples, slot_seed)
+def _item_histogram(items, top: int) -> dict:
+    """Counts of each item id, ranked by (count desc, id asc), with the top rows."""
     counts: dict[int, int] = {}
-    total = 0
-    for yhat in preds:
-        for item in top1_ids(index, yhat):
-            counts[int(item)] = counts.get(int(item), 0) + 1
-            total += 1
+    for item in items:
+        counts[int(item)] = counts.get(int(item), 0) + 1
+    total = sum(counts.values())
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     top_rows = ranked[:top]
-    top_count = sum(c for _, c in top_rows)
     return {
         "n_elements": total,
         "n_distinct": len(counts),
         "max_frequency": ranked[0][1] if ranked else 0,
-        "top_share": top_count / total if total else 0.0,
+        "top_share": sum(c for _, c in top_rows) / total if total else 0.0,
         "top": [[int(i), int(c)] for i, c in top_rows],
     }
+
+
+def diversity_histogram(model, triples: list[SplitTriple], index: RetrievalIndex, top: int = 100, slot_seed: int = 0) -> dict:
+    """Frequency of each retrieved item over all completions."""
+    preds = _predictions(model, triples, slot_seed)
+    return _item_histogram((item for yhat in preds for item in top1_ids(index, yhat)), top)
 
 
 def target_histogram(triples: list[SplitTriple], top: int = 100) -> dict:
     """The same histogram computed over the ground-truth target items."""
-    counts: dict[int, int] = {}
-    total = 0
-    for t in triples:
-        for item in t.y.element_ids:
-            counts[int(item)] = counts.get(int(item), 0) + 1
-            total += 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    top_rows = ranked[:top]
-    return {
-        "n_elements": total,
-        "n_distinct": len(counts),
-        "max_frequency": ranked[0][1] if ranked else 0,
-        "top_share": (sum(c for _, c in top_rows) / total) if total else 0.0,
-        "top": [[int(i), int(c)] for i, c in top_rows],
-    }
+    return _item_histogram((item for t in triples for item in t.y.element_ids), top)
 
 
 # -- timing -------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Attention building blocks over sets: MAB, SAB and the slot-attention layer.
 
-All three are wrappers over one graph builder, :func:`mab_graph`, which works
-on padded batches. The public single-set functions lift a :class:`FeatureSet`
-to a batch of one and evaluate the graph immediately, without a tape.
+A block is one tape op, :func:`autodiff.mab`: attention, residual, layer
+norm and feed-forward run as one node with a hand-written backward, so a
+block records 13 nodes (the op and its 12 weights). :func:`mab_graph` adds
+that node for a padded batch; SAB is the same block with queries and
+key/values one tensor. The public single-set functions lift a
+:class:`FeatureSet` to a batch of one and evaluate the block without a tape.
 
 Contracts: outputs are permutation-equivariant in the queries and
 permutation-invariant in the key/value set, and masked key rows receive zero
@@ -32,10 +35,6 @@ class AttentionParams:
     def __post_init__(self):
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
 
     def tensor(self, name: str) -> ad.Tensor:
         return ad.param(self.store, f"{self.prefix}.{name}")
@@ -67,35 +66,13 @@ def init_attention_params(
 def mab_graph(
     q: ad.Tensor, kv: ad.Tensor, key_mask: np.ndarray, params: AttentionParams
 ) -> ad.Tensor:
-    """Multi-head attention block over padded batches.
+    """Multi-head attention block over padded batches, as one tape node.
 
     q: (B, M, D) queries, kv: (B, N, D) key/values, key_mask: (B, N) with 1.0
     marking valid kv rows. Returns (B, M, D).
     """
-    B, M, D = q.values.shape
-    N = kv.values.shape[1]
-    H, dh = params.heads, params.head_dim
-
-    def split_heads(t: ad.Tensor, n: int) -> ad.Tensor:
-        return ad.transpose(ad.reshape(t, (B, n, H, dh)), (0, 2, 1, 3))
-
-    qp = split_heads(ad.matmul(q, params.tensor("wq")), M)
-    kp = split_heads(ad.matmul(kv, params.tensor("wk")), N)
-    vp = split_heads(ad.matmul(kv, params.tensor("wv")), N)
-
-    ctx = ad.attention(qp, kp, vp, key_mask, 1.0 / math.sqrt(dh))
-    merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, M, D))
-    attended = ad.matmul(merged, params.tensor("wo"))
-
-    h = ad.layernorm(ad.add(q, attended), params.tensor("ln1_g"), params.tensor("ln1_b"))
-    ff = ad.add(
-        ad.matmul(
-            ad.relu(ad.add(ad.matmul(h, params.tensor("ff_w1")), params.tensor("ff_b1"))),
-            params.tensor("ff_w2"),
-        ),
-        params.tensor("ff_b2"),
-    )
-    return ad.layernorm(ad.add(h, ff), params.tensor("ln2_g"), params.tensor("ln2_b"))
+    weights = [params.tensor(name) for name, _ in PARAM_FIELDS]
+    return ad.mab(q, kv, key_mask, weights, params.heads)
 
 
 def _check_pair(queries: FeatureSet, keyvalues: FeatureSet, params: AttentionParams) -> None:

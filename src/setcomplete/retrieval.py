@@ -90,6 +90,9 @@ class RetrievalIndex:
         if self.assignments is not None:
             k = self.centroids.shape[0]
             self._members = [np.where(self.assignments == c)[0] for c in range(k)]
+            # members of each category per cluster, for filtered approximate queries
+            self._cat_counts = {c: np.bincount(self.assignments[rows], minlength=k)
+                                for c, rows in self._cat_rows.items()}
         else:
             self._members = None
 
@@ -122,8 +125,12 @@ class RetrievalIndex:
         """(D, N) copy of the features, made on the first row-wise product."""
         return np.ascontiguousarray(self.features.T)
 
-    def _candidates(self, query: np.ndarray, category_filter, mode: str):
-        """Rows to scan: an index array, or ``slice(None)`` for every row (read as views, no copy)."""
+    def _candidates(self, query: np.ndarray, category_filter, mode: str, k: int):
+        """Rows to scan: an index array, or ``slice(None)`` for every row (read as views, no copy).
+
+        A filtered approximate query probes clusters in centroid order past
+        ``ann.probes`` until min(k, |category|) rows of the category are found.
+        """
         if mode == "exact":
             if category_filter is None:
                 return slice(None)
@@ -133,19 +140,23 @@ class RetrievalIndex:
         if self._members is None:
             raise ValueError("index was built without clustering")
         sims = self.centroids @ query
-        order = kernels.topk_select(sims, np.arange(len(sims), dtype=np.int64), self.ann.probes)
-        rows = np.concatenate([self._members[c] for c in order]) if len(order) else np.array([], dtype=np.int64)
-        if category_filter is not None:
-            allowed = self._cat_rows.get(int(category_filter), np.array([], dtype=np.int64))
-            rows = rows[np.isin(rows, allowed)]
-        return rows
+        clusters = np.arange(len(sims), dtype=np.int64)
+        if category_filter is None:
+            order = kernels.topk_select(sims, clusters, self.ann.probes)
+            return np.concatenate([self._members[c] for c in order])
+        order = kernels.topk_select(sims, clusters, len(sims))
+        counts = self._cat_counts.get(int(category_filter), np.zeros(len(sims), dtype=np.int64))[order]
+        found = np.cumsum(counts)
+        probes = max(self.ann.probes, int(np.searchsorted(found, min(k, found[-1]))) + 1)
+        rows = np.concatenate([self._members[c] for c in order[:probes]])
+        return rows[self.categories[rows] == int(category_filter)]
 
     def query_knn(self, query: np.ndarray, k: int, category_filter: int | None = None, mode: str = "exact") -> list[tuple[int, float]]:
         """Ranked (item_id, similarity), descending, ties by ascending id."""
         if k < 1:
             raise ValueError("k must be at least 1")
         query = np.asarray(query, dtype=np.float64)
-        rows = self._candidates(query, category_filter, mode)
+        rows = self._candidates(query, category_filter, mode, k)
         ids = self.ids[rows]
         if len(ids) == 0:
             raise ValueError("no candidates after filtering")

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setcomplete import autodiff as ad
-from setcomplete import serialize
+from setcomplete import kernels, serialize
+from setcomplete.layers import PARAM_FIELDS
 
 
 def scalar_graph(store):
@@ -58,18 +59,17 @@ def test_nan_in_forward_raises():
 
 
 def test_inference_values_match_the_tape_bitwise(rng):
-    store = ad.ParamStore()
-    store.add("q", rng.standard_normal((2, 2, 3, 4)))
-    store.add("kv", rng.standard_normal((2, 2, 5, 4)))
-    store.add("g", rng.standard_normal(4))
+    store = _mab_store(rng, dim=4)
+    store.add("q", rng.standard_normal((2, 3, 4)))
+    store.add("kv", rng.standard_normal((2, 5, 4)))
     mask = np.ones((2, 5))
     mask[1, 2:] = 0.0
 
     def build():
         q, kv = ad.param(store, "q"), ad.param(store, "kv")
-        ctx = ad.attention(q, kv, kv, mask, 0.5)
-        normed = ad.layernorm(ad.relu(ctx), ad.param(store, "g"), ad.const(np.zeros(4)))
-        return ad.l2_normalize(ad.matmul(normed, ad.transpose(normed, (0, 1, 3, 2))))
+        ctx = ad.mab(q, kv, mask, _mab_weights(store), 2)
+        normed = ad.mab(ad.relu(ctx), ctx, np.ones((2, 3)), _mab_weights(store), 2)
+        return ad.l2_normalize(ad.matmul(normed, ad.transpose(normed, (0, 2, 1))))
 
     taped = build()
     with ad.inference():
@@ -130,6 +130,43 @@ def test_graph_reevaluates_after_inplace_update(rng):
     assert graph.forward() == 7.0
 
 
+# -- the fused attention block -----------------------------------------------------
+
+
+def _mab_store(rng, dim):
+    store = ad.ParamStore()
+    for name, ndim in PARAM_FIELDS:
+        shape = (dim, dim) if ndim == 2 else (dim,)
+        store.add(name, (1.0 if name.endswith("_g") else 0.0) + 0.5 * rng.standard_normal(shape))
+    return store
+
+
+def _mab_weights(store):
+    return [ad.param(store, name) for name, _ in PARAM_FIELDS]
+
+
+def _mab_reference(q, kv, mask, w, heads):
+    """The Set Transformer block in plain numpy, one head at a time."""
+    B, M, D = q.shape
+    dh = D // heads
+
+    def layer_norm(x, g, b):
+        return (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5) * g + b
+
+    qp, kp, vp = q @ w["wq"], kv @ w["wk"], kv @ w["wv"]
+    ctx = np.zeros((B, M, D))
+    for b in range(B):
+        valid = mask[b] > 0
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            logits = qp[b, :, cols] @ kp[b][valid][:, cols].T / np.sqrt(dh)
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            ctx[b, :, cols] = (e / e.sum(axis=1, keepdims=True)) @ vp[b][valid][:, cols]
+    h1 = layer_norm(q + ctx @ w["wo"], w["ln1_g"], w["ln1_b"])
+    ff = np.maximum(h1 @ w["ff_w1"] + w["ff_b1"], 0.0) @ w["ff_w2"] + w["ff_b2"]
+    return layer_norm(h1 + ff, w["ln2_g"], w["ln2_b"])
+
+
 # -- finite differences over every composite op -------------------------------------
 
 
@@ -156,14 +193,31 @@ def test_fd_batched_matmul(rng):
 def test_fd_softmax_layernorm(rng):
     store = ad.ParamStore()
     store.add("x", rng.standard_normal((3, 6)))
-    store.add("g", 1.0 + 0.1 * rng.standard_normal(6))
-    store.add("b", rng.standard_normal(6))
 
     def build():
-        y = ad.layernorm(ad.param(store, "x"), ad.param(store, "g"), ad.param(store, "b"))
-        return ad.tsum(ad.mul(ad.softmax(y), ad.const(rng.standard_normal((3, 6)))))
+        return ad.tsum(ad.mul(ad.softmax(ad.param(store, "x")), ad.const(rng.standard_normal((3, 6)))))
 
     _fd(build, store)
+
+    # the layer-norm kernels: analytic backward against central differences
+    x = rng.standard_normal((3, 6))
+    g = 1.0 + 0.1 * rng.standard_normal(6)
+    b = rng.standard_normal(6)
+    c = rng.standard_normal((3, 6))
+    _, xhat, rstd = kernels.layernorm_forward(x, g, b, ad.LN_EPS)
+    analytic = kernels.layernorm_backward(c, xhat, rstd, g)
+    for arr, grad in zip((x, g, b), analytic):
+        flat, step = arr.reshape(-1), 1e-6
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + step
+            up = (kernels.layernorm_forward(x, g, b, ad.LN_EPS)[0] * c).sum()
+            flat[i] = keep - step
+            down = (kernels.layernorm_forward(x, g, b, ad.LN_EPS)[0] * c).sum()
+            flat[i] = keep
+            numeric = (up - down) / (2.0 * step)
+            gi = grad.reshape(-1)[i]
+            assert abs(gi - numeric) / max(1.0, abs(gi)) < 1e-5
 
 
 def test_fd_reshape_transpose_concat_gather(rng):
@@ -194,18 +248,78 @@ def test_fd_masked_mean_l2norm_softplus(rng):
 
 
 def test_fd_attention(rng):
-    store = ad.ParamStore()
-    store.add("q", rng.standard_normal((2, 2, 3, 4)))
-    store.add("k", rng.standard_normal((2, 2, 5, 4)))
-    store.add("v", rng.standard_normal((2, 2, 5, 4)))
+    # all 14 parents of the fused block: q, kv and the 12 weights, with masked keys
+    store = _mab_store(rng, dim=4)
+    store.add("q", rng.standard_normal((2, 3, 4)))
+    store.add("kv", rng.standard_normal((2, 5, 4)))
     mask = np.ones((2, 5))
     mask[0, 3:] = 0.0
 
     def build():
-        out = ad.attention(ad.param(store, "q"), ad.param(store, "k"), ad.param(store, "v"), mask, 0.5)
-        return ad.tmean(ad.mul(out, ad.const(rng.standard_normal((2, 2, 3, 4)))))
+        out = ad.mab(ad.param(store, "q"), ad.param(store, "kv"), mask, _mab_weights(store), 2)
+        return ad.tmean(ad.mul(out, ad.const(rng.standard_normal((2, 3, 4)))))
 
     _fd(build, store)
+
+
+def test_fd_attention_block_as_sab(rng):
+    store = _mab_store(rng, dim=4)
+    store.add("x", rng.standard_normal((2, 4, 4)))
+    mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+    weights = rng.standard_normal((2, 4, 4))
+
+    def build():
+        x = ad.param(store, "x")
+        return ad.tsum(ad.mul(ad.mab(x, x, mask, _mab_weights(store), 2), ad.const(weights)))
+
+    _fd(build, store)
+
+
+def test_attention_block_with_frozen_weights_differentiates_inputs_only(rng):
+    trainable = _mab_store(rng, dim=4)
+    frozen = trainable.copy().freeze()
+    inputs = ad.ParamStore()
+    inputs.add("q", rng.standard_normal((2, 3, 4)))
+    inputs.add("kv", rng.standard_normal((2, 5, 4)))
+    mask = np.ones((2, 5))
+    mask[1, 1:] = 0.0
+    c = rng.standard_normal((2, 3, 4))
+
+    def build(store):
+        out = ad.mab(ad.param(inputs, "q"), ad.param(inputs, "kv"), mask, _mab_weights(store), 2)
+        return ad.Graph(ad.tsum(ad.mul(out, ad.const(c))))
+
+    graph = build(frozen)
+    assert all(not p.requires_grad for p in graph.root.parents[0].parents[0].parents[2:])
+    loss, grads = ad.eval_and_grad(graph, inputs)
+    loss_t, grads_t = ad.eval_and_grad(build(trainable), inputs)
+    assert loss == loss_t and frozen.grads is None
+    for name in ("q", "kv"):
+        assert np.array_equal(grads[name], grads_t[name])
+    assert np.all(grads["kv"][1, 1:] == 0.0)
+    assert ad.finite_diff_check(graph, inputs, step=1e-6) < 1e-5
+
+
+def test_attention_block_matches_numpy_reference(rng):
+    store = _mab_store(rng, dim=8)
+    q = rng.standard_normal((3, 4, 8))
+    kv = rng.standard_normal((3, 6, 8))
+    mask = (rng.random((3, 6)) > 0.4).astype(np.float64)
+    mask[:, 2] = 1.0
+    got = ad.mab(ad.const(q), ad.const(kv), mask, _mab_weights(store), 2).values
+    expected = _mab_reference(q, kv, mask, store.params, 2)
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_attention_block_non_finite_output_names_the_op(rng):
+    store = _mab_store(rng, dim=4)
+    q = np.full((1, 2, 4), 1e308)
+    q[0, :, 0] = -1e308
+    with pytest.raises(ad.GradientError, match="'mab'"):
+        ad.mab(ad.const(q), ad.const(np.ones((1, 3, 4))), np.ones((1, 3)), _mab_weights(store), 2)
+    with ad.inference():
+        with pytest.raises(ad.GradientError, match="'mab'"):
+            ad.mab(ad.const(q), ad.const(np.ones((1, 3, 4))), np.ones((1, 3)), _mab_weights(store), 2)
 
 
 def test_fd_chamfer_and_cross_entropy(rng):

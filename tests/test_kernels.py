@@ -44,13 +44,15 @@ def test_topk_k_larger_than_pool():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    values=st.lists(st.sampled_from([0.5, 0.25, 0.0, -0.0, -1.0, -np.inf, np.nan]), min_size=1, max_size=80),
-    k=st.integers(1, 90),
+    n=st.integers(1, 2 * kernels.TOPK_LEXSORT_MAX),
+    k=st.integers(1, 2 * kernels.TOPK_LEXSORT_MAX + 10),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_topk_equals_full_lexsort_under_ties(values, k, seed):
-    scores = np.array(values)
-    ids = np.random.default_rng(seed).permutation(3 * len(scores))[: len(scores)]
+def test_topk_equals_full_lexsort_under_ties(n, k, seed):
+    # both paths: the full lexsort below TOPK_LEXSORT_MAX scores, the partition from there up
+    rng = np.random.default_rng(seed)
+    scores = rng.choice(np.array([0.5, 0.25, 0.0, -0.0, -1.0, -np.inf, np.nan]), size=n)
+    ids = rng.permutation(3 * n)[:n]
     pos = kernels.topk_select(scores, ids, k)
     assert np.array_equal(pos, np.lexsort((ids, -scores))[:k])
 
@@ -63,9 +65,11 @@ def test_assign_nearest_breaks_ties_toward_lowest_centroid():
 
 def test_attention_op_rejects_all_masked_entry():
     from setcomplete import autodiff as ad
+    from setcomplete.layers import init_attention_params, mab_graph
 
     rng = np.random.default_rng(0)
-    q, k, v, mask = _attention_inputs(rng)
+    params = init_attention_params(ad.ParamStore(), "blk", 8, 2, rng)
+    mask = np.ones((3, 6))
     mask[1, :] = 0.0
     with pytest.raises(ValueError):
-        ad.attention(ad.const(q), ad.const(k), ad.const(v), mask, 0.3)
+        mab_graph(ad.const(rng.standard_normal((3, 4, 8))), ad.const(rng.standard_normal((3, 6, 8))), mask, params)

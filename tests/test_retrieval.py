@@ -190,6 +190,36 @@ def test_save_load_keeps_approx_results(tmp_path_factory, clusters, probes, seed
         assert loaded.query_knn(q, k=7, mode="approx") == index.query_knn(q, k=7, mode="approx")
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 150),
+    categories=st.integers(1, 8),
+    clusters=st.integers(1, 12),
+    probes=st.integers(1, 12),
+    k=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filtered_approx_returns_min_k_hits_of_the_category(n, categories, clusters, probes, k, seed):
+    rng = np.random.default_rng(seed)
+    clusters = min(clusters, n)
+    feats = l2_rows(rng.standard_normal((n, 6)))
+    ids = rng.permutation(4 * n)[:n]
+    cats = rng.integers(0, categories, size=n)
+    index = RetrievalIndex(ids, feats, cats, ann=AnnConfig(clusters=clusters, probes=probes, iters=3, seed=seed % 97))
+    every = RetrievalIndex(ids, feats, cats, ann=AnnConfig(clusters=clusters, probes=clusters),
+                           centroids=index.centroids, assignments=index.assignments)
+    category_of = dict(zip(ids.tolist(), cats.tolist()))
+    for q in l2_rows(rng.standard_normal((3, 6))):
+        for cat in np.unique(cats):
+            hits = index.query_knn(q, k, category_filter=cat, mode="approx")
+            assert all(category_of[i] == cat for i, _ in hits)
+            assert len(hits) == min(k, int((cats == cat).sum()))
+            full = every.query_knn(q, k, category_filter=cat, mode="approx")
+            exact = index.query_knn(q, k, category_filter=cat, mode="exact")
+            assert [i for i, _ in full] == [i for i, _ in exact]
+            assert np.allclose([s for _, s in full], [s for _, s in exact], rtol=0.0, atol=1e-12)
+
+
 def _drop(name):
     return lambda arrays, meta: arrays.pop(name)
 
