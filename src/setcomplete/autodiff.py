@@ -507,14 +507,24 @@ def l2_normalize(a) -> Tensor:
 #
 # One Set Transformer MAB per node: multi-head attention of q over kv, a
 # residual and layer norm, then a ReLU feed-forward with a second residual
-# and layer norm. Parents are q, kv and the 12 weights in the order wq, wk,
-# wv, wo, ff_w1, ff_b1, ff_w2, ff_b2, ln1_g, ln1_b, ln2_g, ln2_b. Rows are
-# flattened to 2-D for every product; only attention works per head.
+# and layer norm. Parents are q, kv and the weights in MAB_WEIGHTS order.
+# Rows are flattened to 2-D for every product; only attention works per head.
+
+# The block's weights by name, with their number of axes: (D, D) or (D,).
+MAB_WEIGHTS = (
+    ("wq", 2), ("wk", 2), ("wv", 2), ("wo", 2),
+    ("ff_w1", 2), ("ff_b1", 1), ("ff_w2", 2), ("ff_b2", 1),
+    ("ln1_g", 1), ("ln1_b", 1), ("ln2_g", 1), ("ln2_b", 1),
+)
+
+
+def _mab_weight_values(t) -> dict:
+    return {name: p.values for (name, _), p in zip(MAB_WEIGHTS, t.parents[2:])}
 
 
 def _mab_fwd(t):
     q, kv = t.parents[0].values, t.parents[1].values
-    wq, wk, wv, wo, w1, b1, w2, b2, g1, c1, g2, c2 = (p.values for p in t.parents[2:])
+    w = _mab_weight_values(t)
     key_mask, heads = t.payload
     (B, M, D), N = q.shape, kv.shape[1]
     dh = D // heads
@@ -523,18 +533,20 @@ def _mab_fwd(t):
     def split(x, n):
         return np.ascontiguousarray(x.reshape(B, n, heads, dh).transpose(0, 2, 1, 3))
 
-    qp, kp, vp = split(q2 @ wq, M), split(kv2 @ wk, N), split(kv2 @ wv, N)
+    qp, kp, vp = split(q2 @ w["wq"], M), split(kv2 @ w["wk"], N), split(kv2 @ w["wv"], N)
     ctx, attn = kernels.attn_forward(qp, kp, vp, key_mask, 1.0 / math.sqrt(dh))
     merged = ctx.transpose(0, 2, 1, 3).reshape(B * M, D)
-    h, xhat1, rstd1 = kernels.layernorm_forward(q2 + merged @ wo, g1, c1, LN_EPS)
-    act = np.maximum(h @ w1 + b1, 0.0)
-    y, xhat2, rstd2 = kernels.layernorm_forward(h + (act @ w2 + b2), g2, c2, LN_EPS)
+    h, xhat1, rstd1 = kernels.layernorm_forward(q2 + merged @ w["wo"], w["ln1_g"], w["ln1_b"], LN_EPS)
+    act = np.maximum(h @ w["ff_w1"] + w["ff_b1"], 0.0)
+    y, xhat2, rstd2 = kernels.layernorm_forward(
+        h + (act @ w["ff_w2"] + w["ff_b2"]), w["ln2_g"], w["ln2_b"], LN_EPS
+    )
     return y.reshape(B, M, D), (qp, kp, vp, attn, merged, h, act, xhat1, rstd1, xhat2, rstd2)
 
 
 def _mab_bwd(t, g):
     qt, kvt = t.parents[0], t.parents[1]
-    wq, wk, wv, wo, w1, _, w2, _, g1, _, g2, _ = (p.values for p in t.parents[2:])
+    w = _mab_weight_values(t)
     key_mask, heads = t.payload
     qp, kp, vp, attn, merged, h, act, xhat1, rstd1, xhat2, rstd2 = t.aux
     (B, M, D), N = qt.shape, kvt.shape[1]
@@ -543,41 +555,45 @@ def _mab_bwd(t, g):
     def merge(x, n):
         return x.transpose(0, 2, 1, 3).reshape(B * n, D)
 
-    dr2, dg2, dc2 = kernels.layernorm_backward(g.reshape(B * M, D), xhat2, rstd2, g2)
-    dpre = dr2 @ w2.T
+    dr2, dg2, dc2 = kernels.layernorm_backward(g.reshape(B * M, D), xhat2, rstd2, w["ln2_g"])
+    dpre = dr2 @ w["ff_w2"].T
     dpre *= act > 0.0
-    dr1, dg1, dc1 = kernels.layernorm_backward(dr2 + dpre @ w1.T, xhat1, rstd1, g1)
-    dctx = np.ascontiguousarray((dr1 @ wo.T).reshape(B, M, heads, dh).transpose(0, 2, 1, 3))
+    dr1, dg1, dc1 = kernels.layernorm_backward(dr2 + dpre @ w["ff_w1"].T, xhat1, rstd1, w["ln1_g"])
+    dctx = np.ascontiguousarray((dr1 @ w["wo"].T).reshape(B, M, heads, dh).transpose(0, 2, 1, 3))
     dqp, dkp, dvp = kernels.attn_backward(dctx, qp, kp, vp, attn, key_mask, 1.0 / math.sqrt(dh))
     dqp, dkp, dvp = merge(dqp, M), merge(dkp, N), merge(dvp, N)
-    dq = (dr1 + dqp @ wq.T).reshape(B, M, D) if qt.requires_grad else None
-    dkv = (dkp @ wk.T + dvp @ wv.T).reshape(B, N, D) if kvt.requires_grad else None
+    dq = (dr1 + dqp @ w["wq"].T).reshape(B, M, D) if qt.requires_grad else None
+    dkv = (dkp @ w["wk"].T + dvp @ w["wv"].T).reshape(B, N, D) if kvt.requires_grad else None
     if not any(p.requires_grad for p in t.parents[2:]):
-        return (dq, dkv) + (None,) * 12  # frozen weights: skip their products
+        return (dq, dkv) + (None,) * len(MAB_WEIGHTS)  # frozen weights: skip their products
     q2, kv2 = qt.values.reshape(B * M, D), kvt.values.reshape(B * N, D)
-    return (
-        dq, dkv, q2.T @ dqp, kv2.T @ dkp, kv2.T @ dvp, merged.T @ dr1,
-        h.T @ dpre, np.add.reduce(dpre, axis=0), act.T @ dr2, np.add.reduce(dr2, axis=0),
-        dg1, dc1, dg2, dc2,
-    )
+    grads = {
+        "wq": q2.T @ dqp, "wk": kv2.T @ dkp, "wv": kv2.T @ dvp, "wo": merged.T @ dr1,
+        "ff_w1": h.T @ dpre, "ff_b1": np.add.reduce(dpre, axis=0),
+        "ff_w2": act.T @ dr2, "ff_b2": np.add.reduce(dr2, axis=0),
+        "ln1_g": dg1, "ln1_b": dc1, "ln2_g": dg2, "ln2_b": dc2,
+    }
+    return (dq, dkv, *(grads[name] for name, _ in MAB_WEIGHTS))
 
 
 _FORWARD["mab"] = _mab_fwd
 _BACKWARD["mab"] = _mab_bwd
 
 
-def mab(q, kv, key_mask: np.ndarray, weights, heads: int) -> Tensor:
+def mab(q, kv, key_mask: np.ndarray, weights: dict, heads: int) -> Tensor:
     """One attention block: (B, M, D) queries attend to (B, N, D) key/values.
 
     key_mask (B, N) marks valid kv rows with 1.0; masked rows get exactly zero
-    attention weight. `weights` are the block's 12 tensors in the order above.
+    attention weight. `weights` maps each name in MAB_WEIGHTS to its tensor.
     """
-    if len(weights) != 12:
-        raise ValueError(f"an attention block takes 12 weights, got {len(weights)}")
+    names = [name for name, _ in MAB_WEIGHTS]
+    if set(weights) != set(names):
+        raise ValueError(f"an attention block takes the weights {names}, got {sorted(weights)}")
     key_mask = np.asarray(key_mask, dtype=np.float64)
     if key_mask.sum(axis=1).min() <= 0:
         raise ValueError("attention needs at least one valid key per batch entry")
-    return _op("mab", (as_tensor(q), as_tensor(kv), *map(as_tensor, weights)), (key_mask, int(heads)))
+    parents = (as_tensor(q), as_tensor(kv), *(as_tensor(weights[name]) for name in names))
+    return _op("mab", parents, (key_mask, int(heads)))
 
 
 # -- chamfer (fused, masked, batched) ------------------------------------------------

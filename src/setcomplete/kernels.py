@@ -96,10 +96,11 @@ def layernorm_backward(g, xhat, rstd, gamma):
 # ---------------------------------------------------------------------------
 
 
-# Below this many scores one full lexsort is cheaper than the partition (one
-# thread: 2.4 vs 13.6 us for k=32 of 40 scores, 2.9 vs 12.7 us for k=8 of 64);
-# the two cost about the same near 1,000 scores.
-TOPK_LEXSORT_MAX = 512
+# Below this many scores one full lexsort is cheaper than the partition. The
+# measured crossover (random scores, one thread) lies between 640 and 832
+# scores for k = 1, 8, 32 and 128 alike: k=1 of 64 costs 3.4 vs 12.5 us,
+# k=1 of 448 12.2 vs 16.8 us, k=1 of 1,610 85 vs 20 us.
+TOPK_LEXSORT_MAX = 700
 
 
 def topk_select(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:

@@ -40,19 +40,12 @@ class AttentionParams:
         return ad.param(self.store, f"{self.prefix}.{name}")
 
 
-PARAM_FIELDS = (
-    ("wq", 2), ("wk", 2), ("wv", 2), ("wo", 2),
-    ("ff_w1", 2), ("ff_b1", 1), ("ff_w2", 2), ("ff_b2", 1),
-    ("ln1_g", 1), ("ln1_b", 1), ("ln2_g", 1), ("ln2_b", 1),
-)
-
-
 def init_attention_params(
     store: ad.ParamStore, prefix: str, dim: int, heads: int, rng: np.random.Generator
 ) -> AttentionParams:
     """Allocate one block's weights: scaled-normal matrices, identity norms."""
     sd = 1.0 / math.sqrt(dim)
-    for name, ndim in PARAM_FIELDS:
+    for name, ndim in ad.MAB_WEIGHTS:
         if name.startswith("ln"):
             init = np.ones(dim) if name.endswith("_g") else np.zeros(dim)
         elif ndim == 2:
@@ -71,7 +64,7 @@ def mab_graph(
     q: (B, M, D) queries, kv: (B, N, D) key/values, key_mask: (B, N) with 1.0
     marking valid kv rows. Returns (B, M, D).
     """
-    weights = [params.tensor(name) for name, _ in PARAM_FIELDS]
+    weights = {name: params.tensor(name) for name, _ in ad.MAB_WEIGHTS}
     return ad.mab(q, kv, key_mask, weights, params.heads)
 
 

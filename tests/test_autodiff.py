@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from setcomplete import autodiff as ad
 from setcomplete import kernels, serialize
-from setcomplete.layers import PARAM_FIELDS
 
 
 def scalar_graph(store):
@@ -135,14 +134,14 @@ def test_graph_reevaluates_after_inplace_update(rng):
 
 def _mab_store(rng, dim):
     store = ad.ParamStore()
-    for name, ndim in PARAM_FIELDS:
+    for name, ndim in ad.MAB_WEIGHTS:
         shape = (dim, dim) if ndim == 2 else (dim,)
         store.add(name, (1.0 if name.endswith("_g") else 0.0) + 0.5 * rng.standard_normal(shape))
     return store
 
 
 def _mab_weights(store):
-    return [ad.param(store, name) for name, _ in PARAM_FIELDS]
+    return {name: ad.param(store, name) for name, _ in ad.MAB_WEIGHTS}
 
 
 def _mab_reference(q, kv, mask, w, heads):
@@ -320,6 +319,17 @@ def test_attention_block_non_finite_output_names_the_op(rng):
     with ad.inference():
         with pytest.raises(ad.GradientError, match="'mab'"):
             ad.mab(ad.const(q), ad.const(np.ones((1, 3, 4))), np.ones((1, 3)), _mab_weights(store), 2)
+
+
+def test_attention_block_rejects_missing_or_stray_weights(rng):
+    store = _mab_store(rng, dim=4)
+    x = ad.const(rng.standard_normal((1, 2, 4)))
+    missing = _mab_weights(store)
+    del missing["wo"]
+    stray = dict(_mab_weights(store), wz=ad.param(store, "wq"))
+    for weights in (missing, stray):
+        with pytest.raises(ValueError, match="weights"):
+            ad.mab(x, x, np.ones((1, 2)), weights, 2)
 
 
 def test_fd_chamfer_and_cross_entropy(rng):

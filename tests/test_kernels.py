@@ -42,16 +42,37 @@ def test_topk_k_larger_than_pool():
     assert list(ids[pos]) == [7, 5]
 
 
+TOPK_VALUES = [0.5, 0.25, 0.0, -0.0, -1.0, -np.inf, np.nan]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
+    values=st.lists(st.sampled_from(TOPK_VALUES), min_size=1, max_size=80),
+    k=st.integers(1, 90),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_topk_equals_full_lexsort_under_ties(values, k, seed):
+    scores = np.array(values)
+    ids = np.random.default_rng(seed).permutation(3 * len(scores))[: len(scores)]
+    expected = np.lexsort((ids, -scores))[:k]
+    assert np.array_equal(kernels.topk_select(scores, ids, k), expected)
+    # the same scores through the partition path
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "TOPK_LEXSORT_MAX", 0)
+        assert np.array_equal(kernels.topk_select(scores, ids, k), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    palette=st.lists(st.sampled_from(TOPK_VALUES), min_size=1, max_size=7),
     n=st.integers(1, 2 * kernels.TOPK_LEXSORT_MAX),
     k=st.integers(1, 2 * kernels.TOPK_LEXSORT_MAX + 10),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_topk_equals_full_lexsort_under_ties(n, k, seed):
-    # both paths: the full lexsort below TOPK_LEXSORT_MAX scores, the partition from there up
+def test_topk_equals_full_lexsort_across_the_crossover(palette, n, k, seed):
+    # n on both sides of TOPK_LEXSORT_MAX; a palette repeating a value weights it
     rng = np.random.default_rng(seed)
-    scores = rng.choice(np.array([0.5, 0.25, 0.0, -0.0, -1.0, -np.inf, np.nan]), size=n)
+    scores = rng.choice(np.array(palette), size=n)
     ids = rng.permutation(3 * n)[:n]
     pos = kernels.topk_select(scores, ids, k)
     assert np.array_equal(pos, np.lexsort((ids, -scores))[:k])
