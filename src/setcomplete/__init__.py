@@ -16,7 +16,6 @@ from .model import (
     CSTParams,
     ConditionEmbedding,
     ModelConfig,
-    SlotInit,
     build_variant,
     complete_features,
     cst_forward,
@@ -64,7 +63,6 @@ __all__ = [
     "CSTParams",
     "ConditionEmbedding",
     "ModelConfig",
-    "SlotInit",
     "build_variant",
     "complete_features",
     "cst_forward",

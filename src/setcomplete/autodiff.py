@@ -40,16 +40,14 @@ class GradientError(RuntimeError):
 
 
 class ParamStore:
-    """Named learnable parameters with matching gradient slots.
+    """Named learnable parameters plus their SGD momentum buffers.
 
-    A frozen store allocates no gradient slots and its parameters behave as
-    constants inside graphs.
+    The parameters of a frozen store behave as constants inside graphs.
     """
 
-    def __init__(self, frozen: bool = False):
+    def __init__(self):
         self.params: dict[str, np.ndarray] = {}
-        self.frozen = bool(frozen)
-        self.grads: dict[str, np.ndarray] | None = None if frozen else {}
+        self.frozen = False
         self.velocities: dict[str, np.ndarray] = {}
 
     def add(self, name: str, values: np.ndarray) -> np.ndarray:
@@ -57,32 +55,12 @@ class ParamStore:
             raise ValueError(f"duplicate parameter name {name!r}")
         arr = np.array(values, dtype=np.float64)
         self.params[name] = arr
-        if self.grads is not None:
-            self.grads[name] = np.zeros_like(arr)
         return arr
-
-    def zero_grads(self) -> None:
-        if self.grads is None:
-            return
-        for g in self.grads.values():
-            g[...] = 0.0
 
     def freeze(self) -> "ParamStore":
         self.frozen = True
-        self.grads = None
         self.velocities = {}
         return self
-
-    def copy(self) -> "ParamStore":
-        out = ParamStore(frozen=self.frozen)
-        for name, arr in self.params.items():
-            out.add(name, arr.copy())
-        for name, vel in self.velocities.items():
-            out.velocities[name] = vel.copy()
-        return out
-
-    def n_values(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     def checksum(self) -> str:
         digest = hashlib.sha256()
@@ -724,15 +702,11 @@ def backward(root: Tensor, graph: Graph | None = None) -> dict[int, np.ndarray]:
     return leaf_grads
 
 
-def eval_and_grad(graph: Graph, params: ParamStore, rerun: bool = False):
+def eval_and_grad(graph: Graph, params: ParamStore):
     """Loss value plus dLoss/dParam for every parameter in `params`.
 
-    Parameters not reachable from the loss get zero gradients. With
-    ``rerun=True`` the forward pass is recomputed from the current store
-    contents first (used after in-place parameter updates).
+    Parameters not reachable from the loss get zero gradients.
     """
-    if rerun:
-        graph.forward()
     loss = graph.root.values
     if loss.shape != ():
         raise ValueError("loss node must be scalar")
@@ -744,8 +718,6 @@ def eval_and_grad(graph: Graph, params: ParamStore, rerun: bool = False):
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise GradientError(f"non-finite gradient for parameter {name!r}")
-        if params.grads is not None:
-            params.grads[name][...] = g
     return float(loss), grads
 
 

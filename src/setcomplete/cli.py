@@ -46,8 +46,9 @@ from .evaluation import (
     timing_benchmark,
 )
 from .matching import MatchConfig
-from .model import SlotInit, build_variant, complete_batch, st_sequential_complete
-from .retrieval import AnnConfig, RetrievalIndex, build_index
+from .model import build_variant, complete_batch, st_sequential_complete
+from .retrieval import RetrievalIndex, build_index
+from .serialize import config_from_meta, reading
 from .sets import FeatureSet
 from .training import (
     TrainConfig,
@@ -119,19 +120,16 @@ def _guard_outputs(args, *names: str) -> Path:
 
 def _load_config(args, cls):
     """Build a config dataclass from defaults, config file, then CLI flags."""
-    values: dict = {}
-    if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
-        values.update(raw)
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = args.seed
-    if getattr(args, "variant", None) is not None and "variant" in {f.name for f in dataclasses.fields(cls)}:
-        values["variant"] = args.variant
-    return cls(**values)
+    path = getattr(args, "config", None)
+    with reading(path or "command line"):
+        values = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+        if not isinstance(values, dict):
+            raise ValueError(f"a config file holds one JSON object, got {type(values).__name__}")
+        if getattr(args, "seed", None) is not None:
+            values["seed"] = args.seed
+        if getattr(args, "variant", None) is not None and "variant" in {f.name for f in dataclasses.fields(cls)}:
+            values["variant"] = args.variant
+        return config_from_meta(cls, values, cls.__name__)
 
 
 def _read_data(path: str):
@@ -310,7 +308,7 @@ def cmd_complete(args) -> int:
     if params.variant == "st":
         ids = st_sequential_complete(x, labels, params, index)
     else:
-        (yhat,) = complete_batch([x], [labels], params, SlotInit(mode="gaussian", seed=args.seed or 0))
+        (yhat,) = complete_batch([x], [labels], params, args.seed or 0)
         ids = [int(i) for i in top1_ids(index, yhat)]
     print(",".join(str(i) for i in ids))
     return 0

@@ -257,13 +257,15 @@ def write_jsonl(path: str | Path, catalog: Catalog, outfits: list[Outfit]) -> No
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def read_jsonl(path: str | Path, dim: int | None = None, strict: bool = True) -> tuple[Catalog | None, list[Outfit]]:
+def read_jsonl(path: str | Path) -> tuple[Catalog | None, list[Outfit]]:
     """Parse an outfit file; returns the item universe seen plus the outfits.
 
-    Errors name the offending line. An empty file yields (None, []).
+    The first feature fixes the feature length and unknown fields are
+    rejected. Errors name the offending line. An empty file yields (None, []).
     """
     outfits: list[Outfit] = []
     items: dict[int, Item] = {}
+    dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -273,12 +275,12 @@ def read_jsonl(path: str | Path, dim: int | None = None, strict: bool = True) ->
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
-            if strict and set(record) - _OUTFIT_KEYS:
+            if set(record) - _OUTFIT_KEYS:
                 raise ValueError(f"{path}: line {lineno}: unknown fields {sorted(set(record) - _OUTFIT_KEYS)}")
             try:
                 ids = []
                 for it in record["items"]:
-                    if strict and set(it) - _ITEM_KEYS:
+                    if set(it) - _ITEM_KEYS:
                         raise ValueError(f"unknown item fields {sorted(set(it) - _ITEM_KEYS)}")
                     feature = np.asarray(it["feature"], dtype=np.float64)
                     if dim is None:

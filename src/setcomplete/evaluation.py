@@ -20,7 +20,6 @@ from .data import Catalog, Outfit, SplitTriple, split_outfit
 from .matching import MatchParams, category_matched_negative, match_score_batch
 from .model import (
     CSTParams,
-    SlotInit,
     complete_batch,
     get_forward_count,
     reset_forward_count,
@@ -28,6 +27,13 @@ from .model import (
 )
 from .retrieval import RetrievalIndex
 from .sets import FeatureSet
+
+# Set pairs scored per scorer call by smd and finb_eval.
+SCORE_BATCH = 64
+# Category-matched negative candidate sets per FINB question.
+FINB_NEGATIVES = 7
+# Completion sizes that timing_benchmark times.
+TIMING_M_VALUES = (1, 2, 3, 4, 5)
 
 
 # -- model predictions over triples ---------------------------------------------
@@ -39,11 +45,10 @@ def predict_triples(
     """Output features for each triple, batched; gaussian slots use a fixed seed."""
     if params.variant == "st":
         raise ValueError("the sequential baseline predicts via st_sequential_complete")
-    init = SlotInit(mode="gaussian", seed=slot_seed)
     outputs: list[np.ndarray] = []
     for start in range(0, len(triples), batch_size):
         chunk = triples[start : start + batch_size]
-        outputs.extend(complete_batch([t.x for t in chunk], [t.z for t in chunk], params, init))
+        outputs.extend(complete_batch([t.x for t in chunk], [t.z for t in chunk], params, slot_seed))
     return outputs
 
 
@@ -77,8 +82,8 @@ TOP1_BLOCK_VALUES = 1 << 20
 
 
 def top1_ids(index: RetrievalIndex, queries: np.ndarray) -> np.ndarray:
-    """Vectorized nearest item per query row (ids ascend with rows, so argmax
-    tie-breaking matches the documented ascending-id rule).
+    """Vectorized nearest item per query row. The index keeps ids ascending
+    with rows, so argmax's first-row tie-break is the ascending-id rule.
 
     Rows go through in blocks, so a large batch never holds its whole
     (rows, items) similarity matrix.
@@ -109,7 +114,7 @@ def category_accuracy(model, triples: list[SplitTriple], index: RetrievalIndex, 
 # -- set-matching score difference ----------------------------------------------------
 
 
-def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: RetrievalIndex | None = None, slot_seed: int = 0, batch_size: int = 64) -> dict:
+def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: RetrievalIndex | None = None, slot_seed: int = 0) -> dict:
     """Distribution of g(X, completion) - g(X, Y).
 
     With an index, completions are the retrieved top-1 item features (the
@@ -121,9 +126,9 @@ def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: Retrieval
     if index is not None:
         preds = [index.features_of(top1_ids(index, y)) for y in preds]
     samples = []
-    for start in range(0, len(triples), batch_size):
-        chunk = triples[start : start + batch_size]
-        chunk_pred = preds[start : start + batch_size]
+    for start in range(0, len(triples), SCORE_BATCH):
+        chunk = triples[start : start + SCORE_BATCH]
+        chunk_pred = preds[start : start + SCORE_BATCH]
         xs = [t.x.features for t in chunk]
         s_hat = match_score_batch(scorer, xs, chunk_pred)
         s_true = match_score_batch(scorer, xs, [t.y.features for t in chunk])
@@ -166,11 +171,9 @@ def finb_eval(
     model_or_scorer,
     outfits: list[Outfit],
     catalog: Catalog,
-    negatives: int = 7,
     seed: int = 0,
     selector: str = "scorer",
     slot_seed: int = 0,
-    batch_size: int = 64,
 ) -> dict:
     """Pick the true target among category-matched negatives.
 
@@ -193,9 +196,9 @@ def finb_eval(
             skipped += 1
             continue
         cand_ids = [np.asarray(triple.y.element_ids, dtype=np.int64)]
-        for _ in range(negatives):
+        for _ in range(FINB_NEGATIVES):
             cand_ids.append(category_matched_negative(cand_ids[0], cats, catalog.by_category, rng))
-        order = rng.permutation(negatives + 1)
+        order = rng.permutation(FINB_NEGATIVES + 1)
         usable.append((triple, [cand_ids[j] for j in order], int(np.where(order == 0)[0][0])))
 
     if not usable:
@@ -216,11 +219,11 @@ def finb_eval(
                 flat_x.append(triple.x.features)
                 flat_y.append(catalog.features_of(ids))
         scores = np.empty(len(flat_x))
-        for start in range(0, len(flat_x), batch_size):
-            scores[start : start + batch_size] = match_score_batch(
-                scorer, flat_x[start : start + batch_size], flat_y[start : start + batch_size]
+        for start in range(0, len(flat_x), SCORE_BATCH):
+            scores[start : start + SCORE_BATCH] = match_score_batch(
+                scorer, flat_x[start : start + SCORE_BATCH], flat_y[start : start + SCORE_BATCH]
             )
-        per = negatives + 1
+        per = FINB_NEGATIVES + 1
         for i, (_, _, pos) in enumerate(usable):
             block = scores[i * per : (i + 1) * per]
             correct += int(int(np.argmax(block)) == pos)
@@ -234,7 +237,7 @@ def finb_eval(
         "skipped": skipped,
         "ci_low": low,
         "ci_high": high,
-        "negatives": negatives,
+        "negatives": FINB_NEGATIVES,
         "selector": selector,
         "seed": seed,
     }
@@ -279,7 +282,6 @@ def timing_benchmark(
     indexes: list[RetrievalIndex],
     x: FeatureSet,
     labels_pool: list[int],
-    m_values=(1, 2, 3, 4, 5),
     repeats: int = 20,
 ) -> list[dict]:
     """Median completion time and forward-pass counts per (model, M, index).
@@ -295,12 +297,12 @@ def timing_benchmark(
     def completion(params, labels, index):
         if params.variant == "st":
             return lambda: st_sequential_complete(x, labels, params, index)
-        return lambda: top1_ids(index, complete_batch([x], [labels], params, SlotInit(mode="gaussian", seed=1))[0])
+        return lambda: top1_ids(index, complete_batch([x], [labels], params, slot_seed=1)[0])
 
     settings = []
     for index in indexes:
         for name, params in models.items():
-            for m in m_values:
+            for m in TIMING_M_VALUES:
                 labels = [int(labels_pool[i % len(labels_pool)]) for i in range(m)]
                 run = completion(params, labels, index)
                 run()  # warmup pass

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .matching import MatchParams, direction_graph, encode_graph
-from .model import CSTParams, SlotInit, cst_graph, slots_graph, st_encode_graph
+from .matching import MatchParams, encode_graph, symmetric_score
+from .model import CSTParams, cst_graph, slots_graph, st_encode_graph
 from .sets import FeatureSet, pad_stack
 
 
@@ -103,22 +103,15 @@ def sm_graph(
 ) -> ad.Tensor:
     """Mean softplus(g(X, Y) - g(X, Yhat)) over a padded batch.
 
-    The query encoding is shared between the two score terms; the ops match
-    `match_graph` exactly, so the symmetry guarantees carry over.
+    The query encoding is shared between the two score terms.
     """
     if not scorer.frozen:
         raise ValueError("the compatibility scorer must be frozen")
     ex = encode_graph(scorer, x_pad, x_mask)
     et = encode_graph(scorer, ytrue_pad, ytrue_mask)
     eh = encode_graph(scorer, yhat, y_mask)
-    s_true = ad.add(
-        direction_graph(scorer, ex, x_mask, et, ytrue_mask),
-        direction_graph(scorer, et, ytrue_mask, ex, x_mask),
-    )
-    s_hat = ad.add(
-        direction_graph(scorer, ex, x_mask, eh, y_mask),
-        direction_graph(scorer, eh, y_mask, ex, x_mask),
-    )
+    s_true = symmetric_score(scorer, ex, x_mask, et, ytrue_mask)
+    s_hat = symmetric_score(scorer, ex, x_mask, eh, y_mask)
     return ad.tmean(ad.softplus(ad.sub(s_true, s_hat)))
 
 
@@ -143,7 +136,7 @@ def batch_loss_graph(
     scorer: MatchParams | None,
     triples: list,
     config: LossConfig | None = None,
-    slot_init: SlotInit | None = None,
+    slot_seed: int = 0,
     rng: np.random.Generator | None = None,
 ) -> tuple[ad.Tensor, dict[str, ad.Tensor]]:
     """Build the training loss for one batch of split triples.
@@ -164,7 +157,7 @@ def batch_loss_graph(
     y_pad, y_mask = pad_stack(y_list)
     labels_batch = [np.asarray(t.z, dtype=np.int64) for t in triples]
     width = y_mask.shape[1]
-    z0, z_mask = slots_graph(params, labels_batch, width, slot_init)
+    z0, z_mask = slots_graph(params, labels_batch, width, slot_seed)
     yhat = cst_graph(params, x_pad, x_mask, z0, z_mask)
 
     parts: dict[str, ad.Tensor] = {}
@@ -223,5 +216,5 @@ def total_loss(x: FeatureSet, ytrue: FeatureSet, z, params: CSTParams, scorer: M
 
     config = config or LossConfig()
     triple = SplitTriple(x=x, y=ytrue, z=np.asarray(z, dtype=np.int64))
-    loss, _ = batch_loss_graph(params, scorer, [triple], config, slot_init=SlotInit(mode="gaussian"))
+    loss, _ = batch_loss_graph(params, scorer, [triple], config)
     return float(loss.values)

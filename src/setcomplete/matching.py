@@ -95,14 +95,20 @@ def direction_graph(params: MatchParams, a: ad.Tensor, mask_a, b: ad.Tensor, mas
     return ad.reshape(out, (out.values.shape[0],))
 
 
-def match_graph(params: MatchParams, xa, mask_a: np.ndarray, xb, mask_b: np.ndarray) -> ad.Tensor:
-    """Batched score graph: (B,) symmetric compatibility scores."""
-    ea = encode_graph(params, xa, mask_a)
-    eb = encode_graph(params, xb, mask_b)
+def symmetric_score(params: MatchParams, ea: ad.Tensor, mask_a, eb: ad.Tensor, mask_b) -> ad.Tensor:
+    """(B,) scores of two encoded sets: the sum of both directions, so swapping
+    the sets gives bitwise the same score."""
     return ad.add(
         direction_graph(params, ea, mask_a, eb, mask_b),
         direction_graph(params, eb, mask_b, ea, mask_a),
     )
+
+
+def match_graph(params: MatchParams, xa, mask_a: np.ndarray, xb, mask_b: np.ndarray) -> ad.Tensor:
+    """Batched score graph: (B,) symmetric compatibility scores."""
+    ea = encode_graph(params, xa, mask_a)
+    eb = encode_graph(params, xb, mask_b)
+    return symmetric_score(params, ea, mask_a, eb, mask_b)
 
 
 def match_score(x: FeatureSet, y: FeatureSet, params: MatchParams) -> float:

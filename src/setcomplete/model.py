@@ -11,7 +11,7 @@ step and retrieves after each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,20 +55,6 @@ class ConditionEmbedding:
     @property
     def table(self) -> np.ndarray:
         return self.store.params[self.name]
-
-
-@dataclass
-class SlotInit:
-    """How slots are seeded: category lookup or standard-normal noise."""
-
-    mode: str = "condition-lookup"
-    mean: float = 0.0
-    std: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("condition-lookup", "gaussian"):
-            raise ValueError(f"unknown slot init mode {self.mode!r}")
 
 
 @dataclass
@@ -133,11 +119,11 @@ def embed_conditions(labels, emb: ConditionEmbedding) -> FeatureSet:
     return FeatureSet(emb.table[labels], element_ids=labels)
 
 
-def slots_graph(params: CSTParams, labels_batch: list[np.ndarray], width: int, init: SlotInit | None = None):
+def slots_graph(params: CSTParams, labels_batch: list[np.ndarray], width: int, slot_seed: int = 0):
     """Initial slot tensor (B, M, D) plus mask for a batch of condition lists.
 
     Conditioned variants gather rows from the lookup table (differentiable);
-    the rest draw standard-normal slots from `init`.
+    the rest draw standard-normal slots from a generator seeded by `slot_seed`.
     """
     B = len(labels_batch)
     dim = params.config.dim
@@ -156,9 +142,7 @@ def slots_graph(params: CSTParams, labels_batch: list[np.ndarray], width: int, i
         # zero out padded slots so the lookup rows there get no gradient
         z0 = ad.mul(z0, ad.const(mask[:, :, None]))
         return z0, mask
-    init = init or SlotInit(mode="gaussian")
-    rng = np.random.default_rng(init.seed)
-    noise = init.mean + init.std * rng.standard_normal((B, width, dim))
+    noise = np.random.default_rng(slot_seed).standard_normal((B, width, dim))
     return ad.const(noise * mask[:, :, None]), mask
 
 
@@ -213,13 +197,13 @@ def cst_forward(x: FeatureSet, z: FeatureSet, params: CSTParams) -> FeatureSet:
 
 
 def complete_batch(
-    xs: list[FeatureSet], labels_list, params: CSTParams, init: SlotInit | None = None
+    xs: list[FeatureSet], labels_list, params: CSTParams, slot_seed: int = 0
 ) -> list[np.ndarray]:
     """One inference for a batch of queries: a (len(labels), D) array of unit
     rows per query, in order.
 
     Queries are padded to one width and slots are seeded by `slots_graph`
-    (gaussian variants draw one (B, width, D) block from `init`), then
+    (gaussian variants draw one (B, width, D) block from `slot_seed`), then
     `cst_graph` runs once without a tape.
     """
     if len(xs) != len(labels_list) or not xs:
@@ -231,18 +215,16 @@ def complete_batch(
         raise ValueError("query feature dimension does not match the model")
     x_pad, x_mask = pad_stack([x.features for x in xs], masks=[x.mask for x in xs])
     with ad.inference():
-        z0, z_mask = slots_graph(params, labels, max(lab.size for lab in labels), init)
+        z0, z_mask = slots_graph(params, labels, max(lab.size for lab in labels), slot_seed)
         out = cst_graph(params, x_pad, x_mask, z0, z_mask).values
     _FORWARD_COUNT["n"] += 1
     return [out[i, : lab.size].copy() for i, lab in enumerate(labels)]
 
 
-def complete_features(
-    x: FeatureSet, labels, params: CSTParams, init: SlotInit | None = None
-) -> FeatureSet:
+def complete_features(x: FeatureSet, labels, params: CSTParams, slot_seed: int = 0) -> FeatureSet:
     """Complete one query: `complete_batch` with a batch of one."""
     labels = np.asarray(labels, dtype=np.int64)
-    (rows,) = complete_batch([x], [labels], params, init)
+    (rows,) = complete_batch([x], [labels], params, slot_seed)
     return FeatureSet(rows, element_ids=labels)
 
 

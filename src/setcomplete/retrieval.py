@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .serialize import config_from_meta, load_arrays, save_arrays
+from .serialize import config_from_meta, load_arrays, reading, save_arrays
 from .sets import l2_rows
 
 INDEX_VERSION = 1
@@ -59,7 +59,11 @@ def _kmeans(features: np.ndarray, config: AnnConfig) -> tuple[np.ndarray, np.nda
 
 
 class RetrievalIndex:
-    """Immutable set of items searchable by feature similarity."""
+    """Immutable set of items searchable by feature similarity.
+
+    Rows are kept in ascending-id order: items given in another order are
+    sorted, with their features, categories and cluster assignments.
+    """
 
     def __init__(
         self,
@@ -73,10 +77,15 @@ class RetrievalIndex:
         self.ids = np.asarray(ids, dtype=np.int64)
         self.features = np.asarray(features, dtype=np.float64)
         self.categories = np.asarray(categories, dtype=np.int64)
-        if len(np.unique(self.ids)) != len(self.ids):
-            raise ValueError("item ids must be unique")
-        if self.features.shape[0] != len(self.ids) or self.categories.shape != self.ids.shape:
+        if self.ids.ndim != 1 or self.features.shape[0] != len(self.ids) or self.categories.shape != self.ids.shape:
             raise ValueError("ids, features and categories must align")
+        if np.any(self.ids[1:] <= self.ids[:-1]):
+            order = np.argsort(self.ids, kind="stable")
+            self.ids, self.features, self.categories = self.ids[order], self.features[order], self.categories[order]
+            if assignments is not None:
+                assignments = assignments[order]
+            if np.any(self.ids[1:] == self.ids[:-1]):
+                raise ValueError("item ids must be unique")
         self.ann = ann
         self.centroids = centroids
         self.assignments = assignments
@@ -192,16 +201,16 @@ class RetrievalIndex:
     def load(cls, path: str | Path) -> "RetrievalIndex":
         """Read an index written by :meth:`save`; a malformed file raises a one-line ValueError."""
         arrays, meta = load_arrays(path)
-        if meta.get("kind") != "retrieval-index":
-            raise ValueError("not a retrieval index file")
-        if meta.get("version") != INDEX_VERSION:
-            raise ValueError(f"unsupported index version {meta.get('version')}")
-        ann = config_from_meta(AnnConfig, meta["ann"], path, "ann") if meta.get("ann") else None
-        want = {"ids", "features", "categories"} | ({"centroids", "assignments"} if ann else set())
-        missing, unknown = sorted(want - set(arrays)), sorted(set(arrays) - want)
-        if missing or unknown:
-            raise ValueError(f"{path}: index arrays missing {missing}, unknown {unknown}")
-        try:
+        with reading(path):
+            if meta.get("kind") != "retrieval-index":
+                raise ValueError("not a retrieval index file")
+            if meta.get("version") != INDEX_VERSION:
+                raise ValueError(f"unsupported index version {meta.get('version')}")
+            ann = config_from_meta(AnnConfig, meta["ann"], "ann") if meta.get("ann") else None
+            want = {"ids", "features", "categories"} | ({"centroids", "assignments"} if ann else set())
+            missing, unknown = sorted(want - set(arrays)), sorted(set(arrays) - want)
+            if missing or unknown:
+                raise ValueError(f"index arrays missing {missing}, unknown {unknown}")
             features = arrays["features"]
             if features.ndim != 2:
                 raise ValueError(f"field 'features' must be 2-D, got shape {features.shape}")
@@ -216,8 +225,6 @@ class RetrievalIndex:
                     raise ValueError(f"field 'assignments' must hold one cluster id in [0, {ann.clusters}) per item")
             return cls(arrays["ids"], features, arrays["categories"],
                        ann=ann, centroids=arrays.get("centroids"), assignments=arrays.get("assignments"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
 
 
 def build_index(catalog, ann_config: AnnConfig | None = None, item_ids=None) -> RetrievalIndex:

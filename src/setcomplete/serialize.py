@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -45,29 +47,59 @@ def pack_arrays(arrays: dict[str, np.ndarray], meta: dict | None = None) -> byte
     return head + b"".join(blobs)
 
 
+def _entry(entry) -> tuple[str, np.dtype, tuple[int, ...]]:
+    """Name, dtype and shape of one header entry."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise ValueError(f"malformed array entry {entry!r}")
+    name, code, shape = entry["name"], entry.get("dtype"), entry.get("shape")
+    if not isinstance(code, str) or code not in _DTYPES:
+        raise ValueError(f"array {name!r} has unsupported dtype {code!r}")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"array {name!r} has malformed shape {shape!r}")
+    return name, _DTYPES[code], tuple(shape)
+
+
 def unpack_arrays(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
-    """Decode bytes produced by :func:`pack_arrays`."""
-    cut = data.index(b"\n")
-    header = json.loads(data[:cut].decode())
-    if header.get("magic") != MAGIC:
+    """Decode bytes produced by :func:`pack_arrays`; malformed bytes raise ValueError."""
+    cut = data.find(b"\n")
+    if cut < 0:
+        raise ValueError("no header line")
+    try:
+        header = json.loads(data[:cut].decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"header is not JSON: {exc}") from None
+    if not isinstance(header, dict) or header.get("magic") != MAGIC:
         raise ValueError("not a setcomplete array container")
     if header.get("version") != VERSION:
         raise ValueError(f"unsupported container version {header.get('version')}")
+    if not isinstance(header.get("arrays"), list) or not isinstance(header.get("meta"), dict):
+        raise ValueError("header needs an 'arrays' list and a 'meta' object")
     arrays: dict[str, np.ndarray] = {}
     offset = cut + 1
     for entry in header["arrays"]:
-        dtype = _DTYPES[entry["dtype"]]
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dtype.itemsize
+        name, dtype, shape = _entry(entry)
+        nbytes = math.prod(shape) * dtype.itemsize
         chunk = data[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise ValueError("truncated array container")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+        arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
         offset += nbytes
     if offset != len(data):
         raise ValueError("trailing bytes in array container")
     return arrays, header["meta"]
+
+
+@contextmanager
+def reading(path: str | Path):
+    """Re-raise a ValueError from inside the block as one that starts with `path`.
+
+    Every artifact loader reads its file inside this block, so a malformed
+    file fails with one line naming it.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -75,14 +107,23 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], meta: dict | No
 
 
 def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    return unpack_arrays(Path(path).read_bytes())
+    data = Path(path).read_bytes()
+    with reading(path):
+        return unpack_arrays(data)
 
 
-def config_from_meta(cls, raw, path: str | Path, field: str):
-    """Build the config dataclass `cls` from the metadata entry `field`, rejecting keys it lacks."""
+def config_from_meta(cls, raw, what: str):
+    """Build the config dataclass `cls` from the dict `raw` (named `what` in
+    errors), rejecting keys `cls` lacks and values whose type differs from the
+    field default's (an int passes for a float)."""
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: metadata field {field!r} must be an object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+        raise ValueError(f"{what} must be an object, got {type(raw).__name__}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(defaults))
     if unknown:
-        raise ValueError(f"{path}: metadata field {field!r} has unknown keys {unknown}")
+        raise ValueError(f"{what} has unknown keys {unknown}")
+    for name, value in raw.items():
+        kind = type(defaults[name])
+        if not isinstance(value, (int, float) if kind is float else kind):
+            raise ValueError(f"{what}: {name!r} must be {kind.__name__}, got {type(value).__name__}")
     return cls(**raw)

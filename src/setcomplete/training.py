@@ -19,9 +19,9 @@ from . import autodiff as ad
 from .data import Catalog, Outfit, split_outfit, split_outfits, splitmix64, triples_for, items_in
 from .losses import LossConfig, batch_loss_graph
 from .matching import MatchConfig, MatchParams, init_match_params, pretrain_matching
-from .model import CSTParams, ModelConfig, SlotInit, build_variant
+from .model import CSTParams, ModelConfig, build_variant
 from .retrieval import build_index
-from .serialize import config_from_meta, load_arrays, save_arrays
+from .serialize import config_from_meta, load_arrays, reading, save_arrays
 
 LOG_COLUMNS = ("epoch", "ce", "chamfer", "sm", "total", "val_recall", "val_accuracy", "val_smd")
 
@@ -70,26 +70,27 @@ def save_cst_checkpoint(path: str | Path, params: CSTParams, extra: dict | None 
     save_arrays(path, params.store.params, meta)
 
 
-def _load_params(store: ad.ParamStore, arrays: dict[str, np.ndarray], path) -> None:
+def _load_params(store: ad.ParamStore, arrays: dict[str, np.ndarray]) -> None:
     """Copy checkpoint arrays into `store`, which must hold exactly their names and shapes."""
     missing = sorted(set(store.params) - set(arrays))
     unknown = sorted(set(arrays) - set(store.params))
     if missing or unknown:
-        raise ValueError(f"{path}: checkpoint parameters do not match the model: "
-                         f"missing {missing}, unknown {unknown}")
+        raise ValueError(f"checkpoint parameters do not match the model: missing {missing}, unknown {unknown}")
     for name, arr in arrays.items():
         want = store.params[name].shape
         if arr.shape != want:
-            raise ValueError(f"{path}: checkpoint shape mismatch for {name!r}: {arr.shape}, expected {want}")
+            raise ValueError(f"checkpoint shape mismatch for {name!r}: {arr.shape}, expected {want}")
         store.params[name][...] = arr
 
 
 def load_cst_checkpoint(path: str | Path) -> tuple[CSTParams, dict]:
+    """Read a model checkpoint; a malformed file raises a one-line ValueError naming it."""
     arrays, meta = load_arrays(path)
-    if meta.get("kind") != "cst-checkpoint":
-        raise ValueError("not a model checkpoint")
-    params = build_variant(meta["variant"], config_from_meta(ModelConfig, meta.get("config"), path, "config"))
-    _load_params(params.store, arrays, path)
+    with reading(path):
+        if meta.get("kind") != "cst-checkpoint":
+            raise ValueError("not a model checkpoint")
+        params = build_variant(meta.get("variant"), config_from_meta(ModelConfig, meta.get("config"), "config"))
+        _load_params(params.store, arrays)
     return params, meta
 
 
@@ -104,11 +105,13 @@ def save_match_checkpoint(path: str | Path, params: MatchParams, extra: dict | N
 
 
 def load_match_checkpoint(path: str | Path) -> tuple[MatchParams, dict]:
+    """Read a scorer checkpoint; a malformed file raises a one-line ValueError naming it."""
     arrays, meta = load_arrays(path)
-    if meta.get("kind") != "match-checkpoint":
-        raise ValueError("not a scorer checkpoint")
-    params = init_match_params(config_from_meta(MatchConfig, meta.get("config"), path, "config"))
-    _load_params(params.store, arrays, path)
+    with reading(path):
+        if meta.get("kind") != "match-checkpoint":
+            raise ValueError("not a scorer checkpoint")
+        params = init_match_params(config_from_meta(MatchConfig, meta.get("config"), "config"))
+        _load_params(params.store, arrays)
     if meta.get("frozen", True):
         params.freeze()
     return params, meta
@@ -164,9 +167,9 @@ def train_cst(
         batches = 0
         for start in range(0, len(order) - config.batch_size + 1, config.batch_size):
             batch = [split_outfit(train_outfits[i], rng, catalog) for i in order[start : start + config.batch_size]]
-            init = SlotInit(mode="gaussian", seed=splitmix64((config.seed << 20) + (epoch << 10) + batches))
+            slot_seed = splitmix64((config.seed << 20) + (epoch << 10) + batches)
             try:
-                loss_node, parts = batch_loss_graph(params, scorer, batch, loss_cfg, slot_init=init, rng=rng)
+                loss_node, parts = batch_loss_graph(params, scorer, batch, loss_cfg, slot_seed=slot_seed, rng=rng)
                 graph = ad.Graph(loss_node)
                 loss, grads = ad.eval_and_grad(graph, params.store)
             except ad.GradientError as exc:

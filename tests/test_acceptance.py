@@ -20,7 +20,6 @@ from setcomplete.losses import LossConfig, batch_loss_graph, ce_inbatch, chamfer
 from setcomplete.matching import MatchConfig, init_match_params, match_score
 from setcomplete.model import (
     ModelConfig,
-    SlotInit,
     build_variant,
     cst_forward,
     cst_graph,
@@ -140,14 +139,13 @@ def test_02_gradient_checks():
             y=FeatureSet(l2_rows(rng.standard_normal((m, 8)))),
             z=rng.integers(0, 5, size=m),
         ))
-    init = SlotInit(mode="gaussian", seed=9)
     loss_cfg = LossConfig(alpha=1.0, temperature=0.2)
-    total_node, parts = batch_loss_graph(params, scorer, triples, loss_cfg, slot_init=init)
+    total_node, parts = batch_loss_graph(params, scorer, triples, loss_cfg, slot_seed=9)
 
     x_pad, x_mask = pad_stack([t.x.features for t in triples])
     y_pad, y_mask = pad_stack([t.y.features for t in triples])
     labels = [np.asarray(t.z, dtype=np.int64) for t in triples]
-    z0, z_mask = slots_graph(params, labels, y_mask.shape[1], init)
+    z0, z_mask = slots_graph(params, labels, y_mask.shape[1], slot_seed=9)
     yhat = cst_graph(params, x_pad, x_mask, z0, z_mask)
     chamfer_node = ad.chamfer_cost(yhat, ad.const(y_pad), z_mask, y_mask, np.full(len(triples), 0.5))
 

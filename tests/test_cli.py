@@ -73,6 +73,17 @@ def test_unknown_config_key_is_one_line_error(tmp_path, capsys):
     assert "sparkle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "a config file holds one JSON object, got list"),
+    ({**GEN_CONFIG, "noise": "high"}, "'noise' must be float, got str"),
+], ids=["not-an-object", "wrong-type"])
+def test_malformed_config_file_is_one_line_error_naming_it(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, "gen.json", payload)
+    assert main(["gen-data", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and message in err and err.count("\n") == 1
+
+
 def test_pipeline_artifacts_and_manifest(pipeline):
     root, data, scorer, checkpoint = pipeline
     assert Path(scorer).exists()

@@ -16,7 +16,7 @@ from setcomplete.evaluation import (
     top1_ids,
 )
 from setcomplete.matching import MatchConfig, init_match_params
-from setcomplete.retrieval import build_index
+from setcomplete.retrieval import RetrievalIndex, build_index
 
 SMALL = GenConfig(categories=5, styles=3, catalog_size=150, outfits=120, dim=8, min_size=3, max_size=5, seed=6)
 
@@ -119,6 +119,17 @@ def test_top1_ids_prefers_lowest_id_on_ties(rng):
     index = build_index(Catalog(items))
     got = top1_ids(index, feat[None])
     assert got[0] == 2
+
+
+def test_top1_ids_equals_query_knn_when_ids_are_given_unsorted():
+    feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    index = RetrievalIndex(np.array([9, 5, 3]), feats, np.array([0, 1, 0]))
+    assert index.ids.tolist() == [3, 5, 9]
+    assert index.feature_of(5).tolist() == [0.0, 1.0] and index.categories.tolist() == [0, 1, 0]
+    queries = np.array([[1.0, 0.0], [0.6, 0.8]])
+    expected = [index.query_knn(q, k=1)[0][0] for q in queries]
+    assert expected == [3, 5]
+    assert top1_ids(index, queries).tolist() == expected
 
 
 def test_binomial_ci_known_values():

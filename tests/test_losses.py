@@ -8,7 +8,7 @@ from setcomplete import autodiff as ad
 from setcomplete.data import SplitTriple
 from setcomplete.losses import LossConfig, batch_loss_graph, ce_inbatch, chamfer, sm_reg, total_loss
 from setcomplete.matching import MatchConfig, init_match_params, match_score
-from setcomplete.model import ModelConfig, SlotInit, build_variant, embed_conditions
+from setcomplete.model import ModelConfig, build_variant, embed_conditions
 from setcomplete.sets import FeatureSet
 
 
@@ -211,7 +211,7 @@ def test_total_alpha_zero_equals_ce(rng):
     scorer = init_match_params(MatchConfig(dim=4, heads=2)).freeze()
     t = make_triple(rng, params)
     total = total_loss(t.x, t.y, t.z, params, scorer, LossConfig(alpha=0.0))
-    _, parts = batch_loss_graph(params, scorer, [t], LossConfig(alpha=0.0), slot_init=SlotInit(mode="gaussian"))
+    _, parts = batch_loss_graph(params, scorer, [t], LossConfig(alpha=0.0))
     assert total == pytest.approx(float(parts["ce"].values), abs=1e-12)
 
 
@@ -220,9 +220,9 @@ def test_total_alpha_one_is_additive(rng):
     params = build_variant("CR", config, seed=0)
     scorer = init_match_params(MatchConfig(dim=4, heads=2)).freeze()
     t = make_triple(rng, params)
-    node, parts = batch_loss_graph(params, scorer, [t], LossConfig(alpha=1.0), slot_init=SlotInit(mode="gaussian"))
+    node, parts = batch_loss_graph(params, scorer, [t], LossConfig(alpha=1.0))
     assert abs(float(node.values) - (float(parts["ce"].values) + float(parts["sm"].values))) < 1e-12
-    node2, parts2 = batch_loss_graph(params, scorer, [t], LossConfig(alpha=2.5), slot_init=SlotInit(mode="gaussian"))
+    node2, parts2 = batch_loss_graph(params, scorer, [t], LossConfig(alpha=2.5))
     assert abs(float(node2.values) - (float(parts2["ce"].values) + 2.5 * float(parts2["sm"].values))) < 1e-12
 
 
@@ -231,9 +231,11 @@ def test_frozen_scorer_receives_no_gradients(rng):
     params = build_variant("CR", config, seed=0)
     scorer = init_match_params(MatchConfig(dim=4, heads=2)).freeze()
     t = make_triple(rng, params)
-    node, _ = batch_loss_graph(params, scorer, [t], LossConfig(alpha=1.0), slot_init=SlotInit(mode="gaussian"))
-    _, grads = ad.eval_and_grad(ad.Graph(node), params.store)
-    assert scorer.store.grads is None
+    node, _ = batch_loss_graph(params, scorer, [t], LossConfig(alpha=1.0))
+    graph = ad.Graph(node)
+    _, grads = ad.eval_and_grad(graph, params.store)
+    scorer_nodes = [n for n in graph.nodes if n.op == "param" and n.store is scorer.store]
+    assert scorer_nodes and not any(n.requires_grad for n in scorer_nodes)
     assert any(np.abs(g).max() > 0 for g in grads.values())
 
 

@@ -6,7 +6,6 @@ import setcomplete.model as sm
 from setcomplete.evaluation import top1_ids
 from setcomplete.model import (
     ModelConfig,
-    SlotInit,
     build_variant,
     complete_batch,
     complete_features,
@@ -85,11 +84,10 @@ def test_variant_wiring():
 def test_gaussian_slot_init_is_seed_deterministic(rng):
     params = build_variant("xR", CONFIG, seed=3)
     x = random_set(rng, 5)
-    fixed = SlotInit(mode="gaussian", seed=9)
-    a = complete_features(x, [0, 0, 0], params, init=fixed).features
-    b = complete_features(x, [0, 0, 0], params, init=fixed).features
+    a = complete_features(x, [0, 0, 0], params, slot_seed=9).features
+    b = complete_features(x, [0, 0, 0], params, slot_seed=9).features
     assert np.array_equal(a, b)
-    c = complete_features(x, [0, 0, 0], params, init=SlotInit(mode="gaussian", seed=10)).features
+    c = complete_features(x, [0, 0, 0], params, slot_seed=10).features
     assert np.max(np.abs(a - c)) > 1e-8
 
 
@@ -172,13 +170,12 @@ def test_complete_features_equals_tape_forward_and_batch_of_one(tag):
     for m in (1, 3, 5):
         x = random_set(rng, 4)
         labels = np.array(rng.integers(0, 6, size=m))
-        init = SlotInit(mode="gaussian", seed=m)
-        got = complete_features(x, labels, params, init).features
-        z0, z_mask = slots_graph(params, [labels], m, init)
+        got = complete_features(x, labels, params, slot_seed=m).features
+        z0, z_mask = slots_graph(params, [labels], m, slot_seed=m)
         taped = cst_graph(params, x.features[None], x.mask[None], z0, z_mask)
         assert taped.parents is not None
         assert np.array_equal(got, taped.values[0])
-        assert np.array_equal(got, complete_batch([x], [labels], params, init)[0])
+        assert np.array_equal(got, complete_batch([x], [labels], params, slot_seed=m)[0])
         if params.conditioned:  # the lookup rows as an explicit condition set
             assert np.array_equal(got, cst_forward(x, embed_conditions(labels, params.embedding), params).features)
 

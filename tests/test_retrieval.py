@@ -206,7 +206,8 @@ def test_filtered_approx_returns_min_k_hits_of_the_category(n, categories, clust
     ids = rng.permutation(4 * n)[:n]
     cats = rng.integers(0, categories, size=n)
     index = RetrievalIndex(ids, feats, cats, ann=AnnConfig(clusters=clusters, probes=probes, iters=3, seed=seed % 97))
-    every = RetrievalIndex(ids, feats, cats, ann=AnnConfig(clusters=clusters, probes=clusters),
+    every = RetrievalIndex(index.ids, index.features, index.categories,
+                           ann=AnnConfig(clusters=clusters, probes=clusters),
                            centroids=index.centroids, assignments=index.assignments)
     category_of = dict(zip(ids.tolist(), cats.tolist()))
     for q in l2_rows(rng.standard_normal((3, 6))):
