@@ -236,6 +236,7 @@ def items_in(outfits: list[Outfit]) -> list[int]:
 
 _OUTFIT_KEYS = {"outfit_id", "likes", "items"}
 _ITEM_KEYS = {"item_id", "category_id", "feature"}
+_CATALOG_KEYS = _ITEM_KEYS | {"style_id"}
 
 
 def write_jsonl(path: str | Path, catalog: Catalog, outfits: list[Outfit]) -> None:
@@ -257,6 +258,43 @@ def write_jsonl(path: str | Path, catalog: Catalog, outfits: list[Outfit]) -> No
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
+def _int64(value) -> int:
+    """An id field's value as an int that fits the int64 arrays it lands in."""
+    out = int(value)
+    if not -(2**63) <= out < 2**63:
+        raise ValueError(f"{out} is outside the int64 range")
+    return out
+
+
+def _feature(raw, dim: int | None) -> np.ndarray:
+    """A feature list as a 1-D float array, of length `dim` once that is known."""
+    feature = np.asarray(raw, dtype=np.float64)
+    if feature.ndim != 1:
+        raise ValueError(f"feature must be a list of numbers, got shape {feature.shape}")
+    if dim is not None and feature.shape != (dim,):
+        raise ValueError(f"feature length {feature.shape[0]} != {dim}")
+    return feature
+
+
+def _records(path: str | Path):
+    """(line number, JSON object) per non-blank line; errors name the line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}: line {lineno}: expected a JSON object, got {type(record).__name__}")
+            yield lineno, record
+
+
 def read_jsonl(path: str | Path) -> tuple[Catalog | None, list[Outfit]]:
     """Parse an outfit file; returns the item universe seen plus the outfits.
 
@@ -266,37 +304,24 @@ def read_jsonl(path: str | Path) -> tuple[Catalog | None, list[Outfit]]:
     outfits: list[Outfit] = []
     items: dict[int, Item] = {}
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from exc
+    for lineno, record in _records(path):
+        try:
             if set(record) - _OUTFIT_KEYS:
-                raise ValueError(f"{path}: line {lineno}: unknown fields {sorted(set(record) - _OUTFIT_KEYS)}")
-            try:
-                ids = []
-                for it in record["items"]:
-                    if set(it) - _ITEM_KEYS:
-                        raise ValueError(f"unknown item fields {sorted(set(it) - _ITEM_KEYS)}")
-                    feature = np.asarray(it["feature"], dtype=np.float64)
-                    if dim is None:
-                        dim = feature.shape[0]
-                    if feature.shape != (dim,):
-                        raise ValueError(f"feature length {feature.shape[0]} != {dim}")
-                    iid = int(it["item_id"])
-                    if iid in items and not np.array_equal(items[iid].feature, feature):
-                        raise ValueError(f"item {iid} seen with two different features")
-                    items.setdefault(iid, Item(iid, int(it["category_id"]), feature))
-                    ids.append(iid)
-                outfits.append(Outfit(int(record["outfit_id"]), ids, int(record.get("likes", 0))))
-            except (KeyError, TypeError, ValueError) as exc:
-                if str(exc).startswith(str(path)):
-                    raise
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+                raise ValueError(f"unknown fields {sorted(set(record) - _OUTFIT_KEYS)}")
+            ids = []
+            for it in record["items"]:
+                if set(it) - _ITEM_KEYS:
+                    raise ValueError(f"unknown item fields {sorted(set(it) - _ITEM_KEYS)}")
+                feature = _feature(it["feature"], dim)
+                dim = feature.shape[0]
+                iid = _int64(it["item_id"])
+                if iid in items and not np.array_equal(items[iid].feature, feature):
+                    raise ValueError(f"item {iid} seen with two different features")
+                items.setdefault(iid, Item(iid, _int64(it["category_id"]), feature))
+                ids.append(iid)
+            outfits.append(Outfit(_int64(record["outfit_id"]), ids, _int64(record.get("likes", 0))))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf), 1e400 in a feature
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return (Catalog(list(items.values())) if items else None), outfits
 
 
@@ -314,24 +339,27 @@ def write_catalog_jsonl(path: str | Path, catalog: Catalog) -> None:
 
 
 def read_catalog_jsonl(path: str | Path) -> Catalog:
+    """Parse a catalog file; errors name the offending line.
+
+    The first feature fixes the feature length, an item id may appear once
+    and unknown fields are rejected.
+    """
     items: list[Item] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                items.append(
-                    Item(
-                        int(record["item_id"]),
-                        int(record["category_id"]),
-                        np.asarray(record["feature"], dtype=np.float64),
-                        int(record.get("style_id", -1)),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    seen: set[int] = set()
+    dim = None
+    for lineno, record in _records(path):
+        try:
+            if set(record) - _CATALOG_KEYS:
+                raise ValueError(f"unknown fields {sorted(set(record) - _CATALOG_KEYS)}")
+            feature = _feature(record["feature"], dim)
+            dim = feature.shape[0]
+            iid = _int64(record["item_id"])
+            if iid in seen:
+                raise ValueError(f"duplicate item id {iid}")
+            seen.add(iid)
+            items.append(Item(iid, _int64(record["category_id"]), feature, _int64(record.get("style_id", -1))))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     if not items:
         raise ValueError(f"{path}: empty catalog file")
     return Catalog(items)

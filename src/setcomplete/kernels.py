@@ -128,10 +128,28 @@ def topk_select(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Rows per block of assign_nearest: each block holds two (block, clusters)
+# temporaries, 2 MB each at 64 clusters, instead of three (N, clusters) ones.
+ASSIGN_BLOCK = 4096
+
+
 def assign_nearest(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of the closest centroid per row (ties to the lowest index)."""
+    """Index of the closest centroid per row (ties to the lowest index).
+
+    Each block of rows runs the float operations of the one-product formula
+    ``fn + cn - 2.0 * feats @ centroids.T`` in the same order. BLAS can round
+    a short final block's products differently in the last bit, which moves
+    a label only between centroids tied to within that bit.
+    """
     feats, centroids = _c(feats), _c(centroids)
     fn = (feats * feats).sum(axis=1)
     cn = (centroids * centroids).sum(axis=1)
-    d2 = fn[:, None] + cn[None, :] - 2.0 * feats @ centroids.T
-    return d2.argmin(axis=1).astype(np.int64)
+    labels = np.empty(feats.shape[0], dtype=np.int64)
+    for s in range(0, feats.shape[0], ASSIGN_BLOCK):
+        e = s + ASSIGN_BLOCK
+        g = feats[s:e] @ centroids.T
+        g *= 2.0
+        d2 = np.add.outer(fn[s:e], cn)
+        d2 -= g
+        labels[s:e] = d2.argmin(axis=1)
+    return labels

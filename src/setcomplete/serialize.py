@@ -23,7 +23,11 @@ _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
 
 def pack_arrays(arrays: dict[str, np.ndarray], meta: dict | None = None) -> bytes:
-    """Encode named arrays (float64 or int64) and a JSON-safe meta dict."""
+    """Encode named arrays (float64 or int64) and a JSON-safe meta dict.
+
+    The bytes are copied once, into the result; only a non-contiguous array
+    is first made contiguous.
+    """
     entries = []
     blobs = []
     for name in sorted(arrays):
@@ -34,9 +38,8 @@ def pack_arrays(arrays: dict[str, np.ndarray], meta: dict | None = None) -> byte
             code = "<i8"
         else:
             raise ValueError(f"unsupported dtype {arr.dtype} for array {name!r}")
-        raw = arr.astype(_DTYPES[code], copy=False).tobytes()
         entries.append({"name": name, "dtype": code, "shape": list(arr.shape)})
-        blobs.append(raw)
+        blobs.append(arr.astype(_DTYPES[code], order="C", copy=False))
     header = {
         "magic": MAGIC,
         "version": VERSION,
@@ -44,7 +47,7 @@ def pack_arrays(arrays: dict[str, np.ndarray], meta: dict | None = None) -> byte
         "meta": meta or {},
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-    return head + b"".join(blobs)
+    return b"".join([head, *blobs])
 
 
 def _entry(entry) -> tuple[str, np.dtype, tuple[int, ...]]:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from setcomplete.data import (
@@ -216,6 +217,100 @@ def test_read_jsonl_strict_rejects_unknown_fields(tmp_path):
     path.write_text(json.dumps(row) + "\n")
     with pytest.raises(ValueError, match="line 1"):
         read_jsonl(path)
+
+
+def test_read_catalog_jsonl_names_the_line_of_a_bad_length_or_a_repeated_id(tmp_path):
+    path = tmp_path / "catalog.jsonl"
+    first = {"item_id": 0, "category_id": 0, "feature": [0.0, 1.0]}
+    for second, message in (({"item_id": 1, "category_id": 0, "feature": [1.0]}, "feature length 1 != 2"),
+                            ({"item_id": 0, "category_id": 1, "feature": [1.0, 0.0]}, "duplicate item id 0")):
+        path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_catalog_jsonl(path)
+        assert str(err.value) == f"{path}: line 2: {message}"
+
+
+@pytest.mark.parametrize("read", [read_jsonl, read_catalog_jsonl])
+def test_jsonl_readers_name_a_line_that_is_not_utf8(tmp_path, read):
+    path = tmp_path / "file.jsonl"
+    path.write_bytes(b"\n" + b'{"item_id": 1, "category_id": 0, "feature": [0.5]}\xff\n')
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: line 2: not UTF-8 (invalid start byte at byte 50)"
+
+
+def _int_fails(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+LINE_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"), min_size=1).filter(str.strip)
+NOT_AN_INT = st.one_of(
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    LINE_TEXT.filter(_int_fails),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    st.integers(min_value=2**63),
+    st.integers(max_value=-(2**63) - 1),
+)
+NOT_A_FEATURE = st.one_of(
+    st.none(),
+    st.floats(),
+    LINE_TEXT,
+    st.dictionaries(st.text(max_size=2), st.floats(), max_size=1),
+    st.lists(st.floats(), max_size=6).filter(lambda f: len(f) != 3),
+    st.lists(st.lists(st.floats(), min_size=1, max_size=3), min_size=1, max_size=3),
+)
+NOT_ITEMS = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(),
+    LINE_TEXT,
+    st.dictionaries(st.text(min_size=1, max_size=3), st.integers(), min_size=1, max_size=2),
+)
+
+
+def _item(i: int) -> dict:
+    return {"item_id": i, "category_id": i % 2, "feature": [float(i), 0.5, -1.0]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(catalog=st.booleans(), at=st.integers(1, 3), data=st.data())
+def test_fuzzed_jsonl_line_is_rejected_naming_it(tmp_path_factory, catalog, at, data):
+    # the first line stays valid: it fixes the feature length
+    if catalog:
+        records = [{**_item(i), "style_id": 0} for i in range(4)]
+    else:
+        records = [{"outfit_id": o, "likes": 1, "items": [_item(2 * o), _item(2 * o + 1)]} for o in range(4)]
+    record = records[at]
+    target = record if catalog else data.draw(st.sampled_from([record, *record["items"]]))
+    is_item = "feature" in target
+    required = ["item_id", "category_id", "feature"] if is_item else ["outfit_id", "items"]
+    kind = data.draw(st.sampled_from(["text", "drop", "extra", "value", "reuse"] if is_item
+                                     else ["text", "drop", "extra", "value"]))
+    if kind == "drop":
+        del target[data.draw(st.sampled_from(required))]
+    elif kind == "extra":
+        target["surprise"] = 1
+    elif kind == "value":
+        key = data.draw(st.sampled_from(required + ["style_id" if catalog else "likes"]))
+        bad = {"feature": NOT_A_FEATURE, "items": NOT_ITEMS}.get(key, NOT_AN_INT)
+        target[key] = data.draw(bad)
+    elif kind == "reuse":  # an earlier line's item id with another feature
+        target["item_id"] = data.draw(st.integers(0, at - 1) if catalog else st.integers(0, 2 * at - 1))
+        target["feature"] = [v + 1.0 for v in target["feature"]]
+    lines = [json.dumps(r) for r in records]
+    if kind == "text":
+        lines[at] = data.draw(LINE_TEXT)
+    path = tmp_path_factory.mktemp("fuzz") / "file.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        (read_catalog_jsonl if catalog else read_jsonl)(path)
+    assert str(err.value).startswith(f"{path}: line {at + 1}: ") and "\n" not in str(err.value), str(err.value)
 
 
 def test_read_jsonl_empty_file(tmp_path):

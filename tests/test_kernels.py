@@ -84,6 +84,29 @@ def test_assign_nearest_breaks_ties_toward_lowest_centroid():
     assert kernels.assign_nearest(feats, cents)[0] == 0
 
 
+def one_product_labels(feats, centroids):
+    fn = (feats * feats).sum(axis=1)
+    cn = (centroids * centroids).sum(axis=1)
+    return (fn[:, None] + cn[None, :] - 2.0 * feats @ centroids.T).argmin(axis=1)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_blocked_assign_nearest_equals_one_product(extra):
+    block = 8
+    rng = np.random.default_rng(40 + extra)
+    n = block + extra
+    feats, cents = rng.standard_normal((n, 5)), rng.standard_normal((6, 5))
+    # integer-valued rows make every product exact, so each centroid and its copy tie exactly
+    grid = rng.integers(-3, 4, size=(n, 4)).astype(np.float64)
+    copies = np.vstack([grid[:3], grid[:3]])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "ASSIGN_BLOCK", block)
+        assert np.array_equal(kernels.assign_nearest(feats, cents), one_product_labels(feats, cents))
+        tied = kernels.assign_nearest(grid, copies)
+    assert np.array_equal(tied, one_product_labels(grid, copies))
+    assert np.all(tied < 3)
+
+
 def test_attention_op_rejects_all_masked_entry():
     from setcomplete import autodiff as ad
     from setcomplete.layers import init_attention_params, mab_graph

@@ -260,3 +260,71 @@ def test_load_rejects_malformed_index(rng, tmp_path, edit, field):
         RetrievalIndex.load(path)
     assert str(path) in str(err.value)
     assert "\n" not in str(err.value)
+
+
+def probed_reference(index, query, k, category_filter=None):
+    """Approximate hits recomputed from the id-ordered rows and the assignments."""
+    full = index.features @ query
+    centroid_sims = index.centroids @ query
+    order = np.lexsort((np.arange(len(centroid_sims)), -centroid_sims))
+    wanted = np.ones(len(index.ids), dtype=bool) if category_filter is None else index.categories == category_filter
+    found = np.cumsum([np.sum(wanted & (index.assignments == c)) for c in order])
+    probes = max(index.ann.probes, int(np.searchsorted(found, min(k, found[-1]))) + 1)
+    rows = np.flatnonzero(wanted & np.isin(index.assignments, order[:probes]))
+    pick = np.lexsort((index.ids[rows], -full[rows]))[:k]
+    return [(int(index.ids[rows[p]]), float(full[rows[p]])) for p in pick]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 150),
+    dim=st.sampled_from([3, 8, 32]),
+    clusters=st.integers(1, 12),
+    probes=st.integers(1, 12),
+    k=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_approx_hits_score_bitwise_as_a_full_scan(n, dim, clusters, probes, k, seed):
+    # random assignments give odd cluster sizes and, with few items, empty clusters;
+    # category 3 lives in cluster 0 only
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(3 * n)[:n]
+    assignments = rng.integers(0, clusters, size=n)
+    cats = rng.integers(0, 3, size=n)
+    cats[assignments == 0] = rng.choice([0, 1, 3], size=int(np.sum(assignments == 0)))
+    index = RetrievalIndex(ids, l2_rows(rng.standard_normal((n, dim))), cats,
+                           ann=AnnConfig(clusters=clusters, probes=probes),
+                           centroids=l2_rows(rng.standard_normal((clusters, dim))), assignments=assignments)
+    for q in l2_rows(rng.standard_normal((3, dim))):
+        full = dict(zip(index.ids.tolist(), (index.features @ q).tolist()))
+        hits = index.query_knn(q, k, mode="approx")
+        assert hits == probed_reference(index, q, k)
+        for cat in np.unique(cats):
+            filtered = index.query_knn(q, k, category_filter=cat, mode="approx")
+            assert filtered == probed_reference(index, q, k, cat)
+            hits = hits + filtered
+        assert all(s == full[i] for i, s in hits)
+
+
+def test_empty_cluster_is_probed_as_an_empty_list(rng):
+    feats = l2_rows(rng.standard_normal((41, 8)))
+    assignments = np.arange(41) % 4  # cluster 4 is left empty
+    query = l2_rows(rng.standard_normal((1, 8)))[0]
+    centroids = l2_rows(rng.standard_normal((5, 8)))
+    centroids[4] = query  # the empty cluster is the nearest
+    index = RetrievalIndex(np.arange(41), feats, np.arange(41) % 3, ann=AnnConfig(clusters=5, probes=2),
+                           centroids=centroids, assignments=assignments)
+    hits = index.query_knn(query, 10, mode="approx")
+    assert hits == probed_reference(index, query, 10)
+    assert len({int(a) for a in assignments[[i for i, _ in hits]]}) == 1
+    assert index.query_knn(query, 10, category_filter=1, mode="approx") == probed_reference(index, query, 10, 1)
+
+
+def test_load_after_save_derives_identical_inverted_lists(rng, tmp_path):
+    ids = rng.permutation(300)[:97]
+    index = RetrievalIndex(ids, l2_rows(rng.standard_normal((97, 8))), ids % 4,
+                           ann=AnnConfig(clusters=6, probes=2, iters=3, seed=1))
+    index.save(tmp_path / "index.bin")
+    loaded = RetrievalIndex.load(tmp_path / "index.bin")
+    for name in ("_bounds", "_list_ids", "_list_features"):
+        assert np.array_equal(getattr(loaded, name), getattr(index, name)), name
