@@ -598,26 +598,21 @@ def _chamfer_bwd(t, g):
     a, b = (p.values for p in t.parents)
     mask_a, mask_b, weights = t.payload
     row_arg, col_arg = t.aux
+    w = 2.0 * (float(g) * weights)
+    rb, rm = np.nonzero(mask_a > 0)  # valid rows of a, each with its nearest b row
+    rj = row_arg[rb, rm]
+    d_row = w[rb, None] * (a[rb, rm] - b[rb, rj])
+    cb, cn = np.nonzero(mask_b > 0)  # valid rows of b, each with its nearest a row
+    ci = col_arg[cb, cn]
+    d_col = w[cb, None] * (a[cb, ci] - b[cb, cn])
+    # Each gradient row gets its row terms, then its column terms, each in
+    # ascending (batch, row) order, so the sums round the same on every run.
     da = np.zeros_like(a)
     db = np.zeros_like(b)
-    gs = float(g)
-    B = a.shape[0]
-    for bi in range(B):
-        w = gs * weights[bi]
-        for m in range(a.shape[1]):
-            if mask_a[bi, m] <= 0:
-                continue
-            j = row_arg[bi, m]
-            d = 2.0 * w * (a[bi, m] - b[bi, j])
-            da[bi, m] += d
-            db[bi, j] -= d
-        for n in range(b.shape[1]):
-            if mask_b[bi, n] <= 0:
-                continue
-            i = col_arg[bi, n]
-            d = 2.0 * w * (a[bi, i] - b[bi, n])
-            da[bi, i] += d
-            db[bi, n] -= d
+    np.add.at(da, (rb, rm), d_row)
+    np.subtract.at(db, (rb, rj), d_row)
+    np.add.at(da, (cb, ci), d_col)
+    np.subtract.at(db, (cb, cn), d_col)
     return da, db
 
 

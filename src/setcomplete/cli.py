@@ -1,9 +1,10 @@
 """Command-line entry point for the whole pipeline.
 
 Subcommands: gen-data, train-match, train-cst, eval, finb, bench, complete.
-Each run writes a manifest (command, config, seed, timestamps) into the
-output directory before doing work and finalizes it after. Existing output
-files are never overwritten unless --force is given. Config files are flat
+Each run that writes files writes a manifest (command, config, seed,
+timestamps) into the output directory before doing work and records on exit
+whether the run finished or failed. Existing output files are never
+overwritten unless --force is given. Config files are flat
 JSON dicts whose keys mirror the config dataclasses; command-line flags
 override config values, which override defaults.
 
@@ -19,7 +20,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,20 +38,23 @@ from .data import (
 )
 from .evaluation import (
     MetricsReport,
+    category_accuracy,
     diversity_histogram,
     finb_eval,
+    output_features,
     recall_at_k,
-    category_accuracy,
     smd,
     target_histogram,
     timing_benchmark,
+    top1_ids,
 )
 from .matching import MatchConfig
-from .model import build_variant, complete_batch, st_sequential_complete
+from .model import VARIANTS, build_variant, complete_batch, st_sequential_complete
 from .retrieval import RetrievalIndex, build_index
-from .serialize import config_from_meta, reading
+from .serialize import config_from_meta, reading, write_csv, write_json
 from .sets import FeatureSet
 from .training import (
+    LOG_COLUMNS,
     TrainConfig,
     load_cst_checkpoint,
     load_match_checkpoint,
@@ -58,9 +62,7 @@ from .training import (
     save_match_checkpoint,
     train_cst,
     train_matching,
-    write_log_csv,
 )
-from .evaluation import top1_ids
 
 log = logging.getLogger("setcomplete")
 
@@ -72,50 +74,36 @@ def _setup_logging() -> None:
     logging.basicConfig(level=numeric, format="%(levelname)s %(name)s: %(message)s")
 
 
-@dataclass
-class RunManifest:
-    command: str
-    out_dir: str
-    seed: int | None
-    config_path: str | None
-    argv: list[str]
-    version: str = __version__
-    started_at: str = ""
-    finished_at: str | None = None
-    status: str = "running"
-
-    def write(self) -> None:
-        path = Path(self.out_dir) / "manifest.json"
-        path.write_text(json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
-def _start_manifest(args, command: str) -> RunManifest:
+@contextmanager
+def _run(args, *outputs: str):
+    """Wrap one file-writing subcommand; yields its output directory.
+
+    Refuses, before writing anything, to overwrite any of `outputs` there
+    without --force; then writes manifest.json as running, and on exit
+    rewrites it with the finish time and a status of done or failed.
+    """
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command=command,
-        out_dir=str(out_dir),
-        seed=getattr(args, "seed", None),
-        config_path=getattr(args, "config", None),
-        argv=sys.argv[1:],
-        started_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    )
-    manifest.write()
-    return manifest
-
-
-def _finish_manifest(manifest: RunManifest, status: str = "done") -> None:
-    manifest.finished_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    manifest.status = status
-    manifest.write()
-
-
-def _guard_outputs(args, *names: str) -> Path:
-    out_dir = Path(args.out)
-    clashes = [str(out_dir / n) for n in names if (out_dir / n).exists()]
+    clashes = [str(out_dir / n) for n in outputs if (out_dir / n).exists()]
     if clashes and not args.force:
         raise FileExistsError(f"refusing to overwrite {', '.join(clashes)} (use --force)")
-    return out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = {
+        "command": args.command, "out_dir": str(out_dir), "seed": args.seed,
+        "config_path": args.config, "argv": sys.argv[1:], "version": __version__,
+        "started_at": _now(), "finished_at": None, "status": "running",
+    }
+    write_json(out_dir / "manifest.json", manifest)
+    status = "failed"
+    try:
+        yield out_dir
+        status = "done"
+    finally:
+        manifest.update(finished_at=_now(), status=status)
+        write_json(out_dir / "manifest.json", manifest)
 
 
 def _load_config(args, cls):
@@ -143,56 +131,44 @@ def _read_data(path: str):
 
 
 def cmd_gen_data(args) -> int:
-    config = _load_config(args, GenConfig)
-    out_dir = _guard_outputs(args, "outfits.jsonl", "catalog.jsonl")
-    manifest = _start_manifest(args, "gen-data")
-    catalog, outfits = generate_dataset(config)
-    write_jsonl(out_dir / "outfits.jsonl", catalog, outfits)
-    write_catalog_jsonl(out_dir / "catalog.jsonl", catalog)
-    _finish_manifest(manifest)
-    print(f"wrote {len(outfits)} outfits over {len(catalog)} items to {out_dir}")
+    with _run(args, "outfits.jsonl", "catalog.jsonl") as out_dir:
+        catalog, outfits = generate_dataset(_load_config(args, GenConfig))
+        write_jsonl(out_dir / "outfits.jsonl", catalog, outfits)
+        write_catalog_jsonl(out_dir / "catalog.jsonl", catalog)
+        print(f"wrote {len(outfits)} outfits over {len(catalog)} items to {out_dir}")
     return 0
 
 
 def cmd_train_match(args) -> int:
-    config = _load_config(args, MatchConfig)
-    out_dir = _guard_outputs(args, "scorer.ckpt", "match_log.csv", "finb_report.json")
-    manifest = _start_manifest(args, "train-match")
-    catalog, outfits = _read_data(args.data)
-    params, history, finb = train_matching(
-        catalog, outfits, config, log=lambda row: log.info("match epoch %s loss %.4f", row["epoch"], row["loss"])
-    )
-    save_match_checkpoint(out_dir / "scorer.ckpt", params, extra={"epochs": config.epochs})
-    with open(out_dir / "match_log.csv", "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for row in history:
-            fh.write(f"{row['epoch']},{row['loss']}\n")
-    (out_dir / "finb_report.json").write_text(json.dumps(finb, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    _finish_manifest(manifest)
-    print(f"scorer FINB accuracy {finb['accuracy']:.3f} (n={finb['n']}) -> {out_dir / 'scorer.ckpt'}")
+    with _run(args, "scorer.ckpt", "match_log.csv", "finb_report.json") as out_dir:
+        config = _load_config(args, MatchConfig)
+        catalog, outfits = _read_data(args.data)
+        params, history, finb = train_matching(
+            catalog, outfits, config, log=lambda row: log.info("match epoch %s loss %.4f", row["epoch"], row["loss"])
+        )
+        save_match_checkpoint(out_dir / "scorer.ckpt", params, extra={"epochs": config.epochs})
+        write_csv(out_dir / "match_log.csv", history, ("epoch", "loss"))
+        write_json(out_dir / "finb_report.json", finb)
+        print(f"scorer FINB accuracy {finb['accuracy']:.3f} (n={finb['n']}) -> {out_dir / 'scorer.ckpt'}")
     return 0
 
 
 def cmd_train_cst(args) -> int:
-    config = _load_config(args, TrainConfig)
-    catalog, outfits = _read_data(args.data)
-    config.categories = max(config.categories, int(catalog.categories.max()) + 1)
+    config = _load_config(args, TrainConfig)  # the checkpoint is named after its variant
     ckpt_name = f"cst_{config.variant}.ckpt"
-    out_dir = _guard_outputs(args, ckpt_name, "train_log.csv")
-    scorer = None
-    if args.scorer:
-        scorer, _ = load_match_checkpoint(args.scorer)
-    manifest = _start_manifest(args, "train-cst")
-    params, history = train_cst(
-        catalog, outfits, scorer, config,
-        log=lambda row: log.info("epoch %s total %.4f val_recall %.3f", row["epoch"], row["total"], row["val_recall"]),
-    )
-    best_epoch = int(np.argmax([r["val_recall"] for r in history])) if history else -1
-    save_cst_checkpoint(out_dir / ckpt_name, params, extra={"best_epoch": best_epoch, "seed": config.seed})
-    write_log_csv(out_dir / "train_log.csv", history)
-    _finish_manifest(manifest)
-    last = history[-1] if history else {}
-    print(f"trained {config.variant}: val recall {last.get('val_recall', 0.0):.3f} -> {out_dir / ckpt_name}")
+    with _run(args, ckpt_name, "train_log.csv") as out_dir:
+        catalog, outfits = _read_data(args.data)
+        config.categories = max(config.categories, int(catalog.categories.max()) + 1)
+        scorer = load_match_checkpoint(args.scorer)[0] if args.scorer else None
+        params, history = train_cst(
+            catalog, outfits, scorer, config,
+            log=lambda row: log.info("epoch %s total %.4f val_recall %.3f", row["epoch"], row["total"], row["val_recall"]),
+        )
+        best_epoch = int(np.argmax([r["val_recall"] for r in history])) if history else -1
+        save_cst_checkpoint(out_dir / ckpt_name, params, extra={"best_epoch": best_epoch, "seed": config.seed})
+        write_csv(out_dir / "train_log.csv", history, LOG_COLUMNS)
+        last = history[-1] if history else {}
+        print(f"trained {config.variant}: val recall {last.get('val_recall', 0.0):.3f} -> {out_dir / ckpt_name}")
     return 0
 
 
@@ -204,87 +180,74 @@ def _load_index_or_build(args, catalog, outfits) -> RetrievalIndex:
 
 
 def cmd_eval(args) -> int:
-    out_dir = _guard_outputs(args, "metrics.json", "metrics.csv")
-    manifest = _start_manifest(args, "eval")
-    catalog, outfits = _read_data(args.data)
-    params, meta = load_cst_checkpoint(args.checkpoint)
-    index = _load_index_or_build(args, catalog, outfits)
-    test = [o for o in split_outfits(outfits)["test"] if len(o.item_ids) >= 2]
-    triples = triples_for(test, catalog, seed=args.seed or 0)
-    seed = args.seed or 0
-
-    block: dict = {
-        "recall@32": {"mean": recall_at_k(params, triples, index, k=32, slot_seed=seed), "n": len(triples)},
-        "accuracy": {"mean": category_accuracy(params, triples, index, slot_seed=seed), "n": len(triples)},
-        "diversity": diversity_histogram(params, triples, index, slot_seed=seed),
-        "diversity_truth": target_histogram(triples),
-    }
-    if args.scorer:
-        scorer, _ = load_match_checkpoint(args.scorer)
-        block["smd"] = smd(params, triples, scorer, index=index, slot_seed=seed)
-        block["smd_raw"] = smd(params, triples, scorer, index=None, slot_seed=seed)
-    report = MetricsReport(seed=seed, variants={params.variant: block})
-    report.save(out_dir)
-    _finish_manifest(manifest)
-    print(
-        f"{params.variant}: recall@32 {block['recall@32']['mean']:.3f}, "
-        f"accuracy {block['accuracy']['mean']:.3f} (n={len(triples)})"
-    )
+    with _run(args, "metrics.json", "metrics.csv") as out_dir:
+        catalog, outfits = _read_data(args.data)
+        params, _ = load_cst_checkpoint(args.checkpoint)
+        index = _load_index_or_build(args, catalog, outfits)
+        test = [o for o in split_outfits(outfits)["test"] if len(o.item_ids) >= 2]
+        seed = args.seed or 0
+        triples = triples_for(test, catalog, seed=seed)
+        preds = output_features(params, triples, index, slot_seed=seed)
+        block: dict = {
+            "recall@32": {"mean": recall_at_k(preds, triples, index, k=32), "n": len(triples)},
+            "accuracy": {"mean": category_accuracy(preds, triples, index), "n": len(triples)},
+            "diversity": diversity_histogram(preds, triples, index),
+            "diversity_truth": target_histogram(triples),
+        }
+        if args.scorer:
+            scorer, _ = load_match_checkpoint(args.scorer)
+            block["smd"] = smd(preds, triples, scorer, index=index)
+            block["smd_raw"] = smd(preds, triples, scorer)
+        MetricsReport(seed=seed, variants={params.variant: block}).save(out_dir)
+        print(
+            f"{params.variant}: recall@32 {block['recall@32']['mean']:.3f}, "
+            f"accuracy {block['accuracy']['mean']:.3f} (n={len(triples)})"
+        )
     return 0
 
 
 def cmd_finb(args) -> int:
-    out_dir = _guard_outputs(args, "finb.json", "finb.csv")
-    manifest = _start_manifest(args, "finb")
-    catalog, outfits = _read_data(args.data)
-    test = split_outfits(outfits)["test"]
-    seed = args.seed or 0
-    results: dict[str, dict] = {}
-    if args.scorer:
-        scorer, _ = load_match_checkpoint(args.scorer)
-        results["scorer"] = finb_eval(scorer, test, catalog, seed=seed, selector="scorer")
-    if args.checkpoint:
-        params, _ = load_cst_checkpoint(args.checkpoint)
-        results[params.variant] = finb_eval(params, test, catalog, seed=seed, selector="cst")
-    if not results:
-        raise ValueError("provide --scorer and/or --checkpoint")
-    report = MetricsReport(seed=seed, variants={k: {"finb": v} for k, v in results.items()})
-    report.save(out_dir, stem="finb")
-    _finish_manifest(manifest)
-    for name, res in results.items():
-        print(f"{name}: FINB accuracy {res['accuracy']:.3f} (CI {res['ci_low']:.3f}-{res['ci_high']:.3f}, n={res['n']})")
+    with _run(args, "finb.json", "finb.csv") as out_dir:
+        catalog, outfits = _read_data(args.data)
+        test = split_outfits(outfits)["test"]
+        seed = args.seed or 0
+        results: dict[str, dict] = {}
+        if args.scorer:
+            scorer, _ = load_match_checkpoint(args.scorer)
+            results["scorer"] = finb_eval(scorer, test, catalog, seed=seed, selector="scorer")
+        if args.checkpoint:
+            params, _ = load_cst_checkpoint(args.checkpoint)
+            results[params.variant] = finb_eval(params, test, catalog, seed=seed, selector="cst")
+        if not results:
+            raise ValueError("provide --scorer and/or --checkpoint")
+        MetricsReport(seed=seed, variants={k: {"finb": v} for k, v in results.items()}).save(out_dir, stem="finb")
+        for name, res in results.items():
+            print(f"{name}: FINB accuracy {res['accuracy']:.3f} (CI {res['ci_low']:.3f}-{res['ci_high']:.3f}, n={res['n']})")
     return 0
 
 
 def cmd_bench(args) -> int:
-    out_dir = _guard_outputs(args, "bench.json", "bench.csv")
-    manifest = _start_manifest(args, "bench")
-    seed = args.seed or 0
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [1000, 5000]
-    gen = GenConfig(catalog_size=max(sizes), outfits=64, seed=seed)
-    catalog, outfits = generate_dataset(gen)
-    rng = np.random.default_rng(seed)
-    x = FeatureSet(catalog.features_of(outfits[0].item_ids[:5]))
-    labels_pool = sorted(set(int(c) for c in catalog.categories))
-    models = {
-        "cst": build_variant("CR", seed=seed),
-        "st": build_variant("st", seed=seed),
-    }
-    indexes = [
-        build_index(catalog, item_ids=[int(i) for i in rng.choice(catalog.ids, size=n, replace=False)])
-        for n in sizes
-    ]
-    rows = timing_benchmark(models, indexes, x, labels_pool, repeats=args.repeats)
-    (out_dir / "bench.json").write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    import csv as _csv
-
-    with open(out_dir / "bench.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=sorted(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    _finish_manifest(manifest)
-    cst = [r["median_seconds"] for r in rows if r["model"] == "cst"]
-    print(f"cst median completion {np.median(cst) * 1e3:.2f} ms over {len(cst)} settings")
+    with _run(args, "bench.json", "bench.csv") as out_dir:
+        seed = args.seed or 0
+        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [1000, 5000]
+        gen = GenConfig(catalog_size=max(sizes), outfits=64, seed=seed)
+        catalog, outfits = generate_dataset(gen)
+        rng = np.random.default_rng(seed)
+        x = FeatureSet(catalog.features_of(outfits[0].item_ids[:5]))
+        labels_pool = sorted(set(int(c) for c in catalog.categories))
+        models = {
+            "cst": build_variant("CR", seed=seed),
+            "st": build_variant("st", seed=seed),
+        }
+        indexes = [
+            build_index(catalog, item_ids=[int(i) for i in rng.choice(catalog.ids, size=n, replace=False)])
+            for n in sizes
+        ]
+        rows = timing_benchmark(models, indexes, x, labels_pool, repeats=args.repeats)
+        write_json(out_dir / "bench.json", rows)
+        write_csv(out_dir / "bench.csv", rows, sorted(rows[0]))
+        cst = [r["median_seconds"] for r in rows if r["model"] == "cst"]
+        print(f"cst median completion {np.median(cst) * 1e3:.2f} ms over {len(cst)} settings")
     return 0
 
 
@@ -343,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-cst", help="train a completion variant")
     common(p)
     p.add_argument("--data", required=True, help="outfits JSONL file")
-    p.add_argument("--variant", choices=["CR", "Cx", "xR", "xx", "sa", "st"], default=None)
+    p.add_argument("--variant", choices=VARIANTS, default=None)
     p.add_argument("--scorer", help="frozen scorer checkpoint (required for CR/xR)")
     p.set_defaults(handler=cmd_train_cst)
 

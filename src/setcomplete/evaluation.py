@@ -8,7 +8,6 @@ identical reports.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +25,7 @@ from .model import (
     st_sequential_complete,
 )
 from .retrieval import RetrievalIndex
+from .serialize import write_csv, write_json
 from .sets import FeatureSet
 
 # Set pairs scored per scorer call by smd and finb_eval.
@@ -50,6 +50,17 @@ def predict_triples(
         chunk = triples[start : start + batch_size]
         outputs.extend(complete_batch([t.x for t in chunk], [t.z for t in chunk], params, slot_seed))
     return outputs
+
+
+def output_features(
+    params: CSTParams, triples: list[SplitTriple], index: RetrievalIndex, slot_seed: int = 0
+) -> list[np.ndarray]:
+    """Each triple's output features, for any variant: `predict_triples` for
+    the one-shot variants, and for the sequential baseline the features of
+    the items `st_sequential_complete` retrieves from `index`."""
+    if params.variant != "st":
+        return predict_triples(params, triples, slot_seed=slot_seed)
+    return [index.features_of(st_sequential_complete(t.x, t.z, params, index)) for t in triples]
 
 
 def _predictions(model, triples: list[SplitTriple], slot_seed: int = 0) -> list[np.ndarray]:
@@ -144,8 +155,8 @@ def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: Retrieval
 
 
 def quick_val_metrics(params: CSTParams, triples, index: RetrievalIndex, scorer: MatchParams | None, k: int = 32, seed: int = 0) -> dict:
-    """Per-epoch validation block: recall, accuracy and raw-feature SMD."""
-    preds = predict_triples(params, triples, slot_seed=seed)
+    """Per-epoch validation block: recall, accuracy and SMD of the output features."""
+    preds = output_features(params, triples, index, slot_seed=seed)
     out = {
         "val_recall": recall_at_k(preds, triples, index, k=k),
         "val_accuracy": category_accuracy(preds, triples, index),
@@ -366,10 +377,6 @@ class MetricsReport:
     variants: dict[str, dict] = field(default_factory=dict)
     timing: list[dict] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps({"seed": self.seed, "variants": self.variants, "timing": self.timing},
-                          sort_keys=True, indent=2) + "\n"
-
     def csv_rows(self) -> list[dict]:
         rows = []
         for variant, metrics in sorted(self.variants.items()):
@@ -389,15 +396,8 @@ class MetricsReport:
         return rows
 
     def save(self, out_dir: str | Path, stem: str = "metrics") -> tuple[Path, Path]:
-        out_dir = Path(out_dir)
-        json_path = out_dir / f"{stem}.json"
-        csv_path = out_dir / f"{stem}.csv"
-        json_path.write_text(self.to_json(), encoding="utf-8")
-        import csv as _csv
-
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=("variant", "metric", "value", "n", "seed"))
-            writer.writeheader()
-            for row in self.csv_rows():
-                writer.writerow(row)
+        json_path = Path(out_dir) / f"{stem}.json"
+        csv_path = Path(out_dir) / f"{stem}.csv"
+        write_json(json_path, {"seed": self.seed, "variants": self.variants, "timing": self.timing})
+        write_csv(csv_path, self.csv_rows(), ("variant", "metric", "value", "n", "seed"))
         return json_path, csv_path

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .matching import MatchParams, encode_graph, symmetric_score
-from .model import CSTParams, cst_graph, slots_graph, st_encode_graph
+from .model import CHAMFER_VARIANTS, REGULARIZED, CSTParams, cst_graph, slots_graph, st_encode_graph
 from .sets import FeatureSet, pad_stack
 
 
@@ -146,7 +146,7 @@ def batch_loss_graph(
     """
     config = config or LossConfig()
     variant = params.variant
-    if variant in ("CR", "xR") and (scorer is None or not scorer.frozen):
+    if variant in REGULARIZED and (scorer is None or not scorer.frozen):
         raise ValueError(f"variant {variant} requires a frozen compatibility scorer")
 
     if variant == "st":
@@ -162,25 +162,21 @@ def batch_loss_graph(
 
     parts: dict[str, ad.Tensor] = {}
     B = len(triples)
-    if variant in ("CR", "Cx"):
-        universe = np.concatenate(y_list, axis=0)
-        sizes = [y.shape[0] for y in y_list]
-        offsets = np.cumsum([0] + sizes[:-1])
-        flat_rows, labels, weights = [], [], []
-        for b, size in enumerate(sizes):
-            for m in range(size):
-                flat_rows.append((b, m))
-                labels.append(offsets[b] + m)
-                weights.append(1.0 / (B * size))
-        flat_idx = np.array([b * width + m for b, m in flat_rows], dtype=np.int64)
-        yhat_flat = ad.gather_rows(ad.reshape(yhat, (B * width, params.config.dim)), flat_idx)
-        parts["ce"] = ce_graph(yhat_flat, universe, np.array(labels), np.array(weights), config.temperature)
-        loss = parts["ce"]
-    else:
+    if variant in CHAMFER_VARIANTS:
         parts["chamfer"] = ad.chamfer_cost(yhat, ad.const(y_pad), z_mask, y_mask, np.full(B, 1.0 / B))
         loss = parts["chamfer"]
+    else:
+        # the valid slots in row-major order are the universe rows in order
+        flat_idx = np.flatnonzero(z_mask)
+        sizes = np.count_nonzero(z_mask, axis=1)
+        yhat_flat = ad.gather_rows(ad.reshape(yhat, (B * width, params.config.dim)), flat_idx)
+        parts["ce"] = ce_graph(
+            yhat_flat, np.concatenate(y_list, axis=0), np.arange(flat_idx.size),
+            np.repeat(1.0 / (B * sizes), sizes), config.temperature,
+        )
+        loss = parts["ce"]
 
-    if variant in ("CR", "xR"):
+    if variant in REGULARIZED:
         parts["sm"] = sm_graph(scorer, x_pad, x_mask, yhat, z_mask, y_pad, y_mask)
         loss = ad.add(loss, ad.scale(parts["sm"], config.alpha))
     return loss, parts

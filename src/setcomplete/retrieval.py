@@ -123,7 +123,9 @@ class RetrievalIndex:
         np.cumsum(np.bincount(key, minlength=len(self._bounds) - 1), out=self._bounds[1:])
         self._list_ids = self.ids[order]
         self._list_features = np.zeros((len(order) + LIST_PAD - 1, self.dim))
-        np.take(self.features, order, axis=0, out=self._list_features[: len(order)])
+        # every index is in range; mode="clip" writes straight into `out`,
+        # where the default mode="raise" fills a features-sized temporary first
+        np.take(self.features, order, axis=0, out=self._list_features[: len(order)], mode="clip")
         # A full scan takes its last N % LIST_PAD rows, the largest ids, from
         # OpenBLAS's tail kernel; a product over those rows plus LIST_PAD
         # before them reproduces their similarities.

@@ -1,13 +1,15 @@
-"""Deterministic binary container for named float arrays plus JSON metadata.
+"""Artifact writers: a deterministic binary container for named float
+arrays plus JSON metadata, and the JSON and CSV text files.
 
-Layout: a single UTF-8 JSON header line (sorted keys, ends with ``\\n``)
-followed by the raw C-order little-endian bytes of each array in header
-order. The same arrays and metadata always produce identical bytes, which
-zip-based formats do not guarantee (they embed timestamps).
+Container layout: a single UTF-8 JSON header line (sorted keys, ends with
+``\\n``) followed by the raw C-order little-endian bytes of each array in
+header order. The same arrays and metadata always produce identical bytes,
+which zip-based formats do not guarantee (they embed timestamps).
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -81,12 +83,12 @@ def unpack_arrays(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
     offset = cut + 1
     for entry in header["arrays"]:
         name, dtype, shape = _entry(entry)
-        nbytes = math.prod(shape) * dtype.itemsize
-        chunk = data[offset : offset + nbytes]
-        if len(chunk) != nbytes:
+        count = math.prod(shape)
+        if offset + count * dtype.itemsize > len(data):
             raise ValueError("truncated array container")
-        arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
-        offset += nbytes
+        # a view into `data`, so the copy is the only one
+        arrays[name] = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
+        offset += count * dtype.itemsize
     if offset != len(data):
         raise ValueError("trailing bytes in array container")
     return arrays, header["meta"]
@@ -113,6 +115,20 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     data = Path(path).read_bytes()
     with reading(path):
         return unpack_arrays(data)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Pretty JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def write_csv(path: str | Path, rows, columns) -> None:
+    """A header of `columns`, then one line per row dict; a key the row lacks
+    is written empty and a key outside `columns` is dropped. Lines end in \\r\\n."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def config_from_meta(cls, raw, what: str):

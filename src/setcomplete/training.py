@@ -8,7 +8,6 @@ configs reproduce identical bytes.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from . import autodiff as ad
 from .data import Catalog, Outfit, split_outfit, split_outfits, splitmix64, triples_for, items_in
 from .losses import LossConfig, batch_loss_graph
 from .matching import MatchConfig, MatchParams, init_match_params, pretrain_matching
-from .model import CSTParams, ModelConfig, build_variant
+from .model import CONDITIONED, REGULARIZED, CSTParams, ModelConfig, build_variant
 from .retrieval import build_index
 from .serialize import config_from_meta, load_arrays, reading, save_arrays
 
@@ -46,7 +45,7 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.variant in ("CR", "Cx", "st") and self.batch_size < 2:
+        if self.variant in CONDITIONED and self.batch_size < 2:
             raise ValueError("in-batch cross-entropy needs batch_size >= 2")
         return self
 
@@ -117,14 +116,6 @@ def load_match_checkpoint(path: str | Path) -> tuple[MatchParams, dict]:
     return params, meta
 
 
-def write_log_csv(path: str | Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LOG_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in LOG_COLUMNS})
-
-
 # -- CST training -------------------------------------------------------------------
 
 
@@ -139,7 +130,7 @@ def train_cst(
     from . import evaluation
 
     config.validate()
-    if config.variant in ("CR", "xR"):
+    if config.variant in REGULARIZED:
         if scorer is None:
             raise ValueError(f"variant {config.variant} requires a pretrained scorer")
         if not scorer.frozen:

@@ -315,13 +315,13 @@ def test_10_determinism(tiny_data, tmp_path):
         c_path = tmp_path / f"cst_{tag}.ckpt"
         save_match_checkpoint(s_path, scorer)
         save_cst_checkpoint(c_path, params)
-        rep = ev.MetricsReport(seed=6, variants={"Cx": {
+        rep_json, _ = ev.MetricsReport(seed=6, variants={"Cx": {
             "recall@32": ev.recall_at_k(params, triples, index, k=32),
             "accuracy": ev.category_accuracy(params, triples, index),
             "smd_raw": ev.smd(params, triples, scorer),
             "finb": ev.finb_eval(params, test, catalog, seed=6, selector="cst"),
-        }})
-        return s_path.read_bytes(), c_path.read_bytes(), rep.to_json(), history
+        }}).save(tmp_path, stem=f"metrics_{tag}")
+        return s_path.read_bytes(), c_path.read_bytes(), rep_json.read_bytes(), history
 
     s1, c1, r1, h1 = run("a")
     s2, c2, r2, h2 = run("b")

@@ -348,6 +348,48 @@ def test_fd_chamfer_and_cross_entropy(rng):
     _fd(lambda: ad.cross_entropy(ad.param(store2, "logits"), np.array([1, 0, 6]), np.full(3, 1 / 3)), store2)
 
 
+def _chamfer_bwd_loop(a, b, mask_a, mask_b, weights, row_arg, col_arg, g):
+    """Reference chamfer backward: one (batch, row) pair at a time."""
+    da = np.zeros_like(a)
+    db = np.zeros_like(b)
+    for bi in range(a.shape[0]):
+        w = g * weights[bi]
+        for m in range(a.shape[1]):
+            if mask_a[bi, m] <= 0:
+                continue
+            j = row_arg[bi, m]
+            d = 2.0 * w * (a[bi, m] - b[bi, j])
+            da[bi, m] += d
+            db[bi, j] -= d
+        for n in range(b.shape[1]):
+            if mask_b[bi, n] <= 0:
+                continue
+            i = col_arg[bi, n]
+            d = 2.0 * w * (a[bi, i] - b[bi, n])
+            da[bi, i] += d
+            db[bi, n] -= d
+    return da, db
+
+
+def test_chamfer_backward_matches_the_loop_bitwise():
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        B, M, N, D = (int(v) for v in rng.integers(1, [6, 7, 7, 9]))
+        a, b = rng.standard_normal((B, M, D)), rng.standard_normal((B, N, D))
+        if trial % 3 == 0:  # few distinct values, so nearest rows tie
+            a, b = np.round(a), np.round(b)
+        mask_a = (rng.random((B, M)) < 0.7).astype(float)
+        mask_b = (rng.random((B, N)) < 0.7).astype(float)
+        mask_a[:, 0] = mask_b[:, 0] = 1.0
+        weights = rng.random(B)
+        node = ad.chamfer_cost(ad.const(a), ad.const(b), mask_a, mask_b, weights)
+        g = float(rng.random() + 0.5)
+        got = ad._BACKWARD["chamfer"](node, np.asarray(g))
+        want = _chamfer_bwd_loop(a, b, mask_a, mask_b, weights, *node.aux, g)
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+
+
 def test_softmax_rows_sum_to_one(rng):
     x = ad.softmax(ad.const(rng.standard_normal((5, 9)) * 3))
     assert np.allclose(x.values.sum(axis=1), 1.0, atol=1e-12)

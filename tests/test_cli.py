@@ -138,6 +138,43 @@ def test_complete_rejects_multi_outfit_query(pipeline, tmp_path, capsys):
     assert "exactly one outfit" in capsys.readouterr().err
 
 
+def test_st_baseline_trains_and_evaluates(pipeline, capsys):
+    root, data, scorer, checkpoint = pipeline
+    train_cfg = write_config(root, "train_st.json", {**TRAIN_CONFIG, "epochs": 1})
+    assert main(["train-cst", "--config", train_cfg, "--variant", "st", "--data", data,
+                 "--out", str(root / "st")]) == 0
+    out = root / "eval_st"
+    assert main(["eval", "--data", data, "--checkpoint", str(root / "st" / "cst_st.ckpt"),
+                 "--scorer", scorer, "--out", str(out)]) == 0
+    block = json.loads((out / "metrics.json").read_text())["variants"]["st"]
+    assert block["accuracy"]["mean"] == 1.0  # st retrieves within the requested category
+    assert block["smd"]["samples"] == block["smd_raw"]["samples"]  # st's outputs are retrieved items
+    assert "st: recall@32" in capsys.readouterr().out
+
+
+def test_failed_command_marks_its_manifest_failed(pipeline, capsys):
+    root, data, scorer, checkpoint = pipeline
+    out = root / "eval_missing"
+    assert main(["eval", "--data", data, "--checkpoint", str(root / "missing.ckpt"), "--out", str(out)]) == 1
+    assert "missing.ckpt" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "eval"
+    assert manifest["status"] == "failed"
+    assert manifest["finished_at"]
+    assert not (out / "metrics.json").exists()
+
+
+def test_refused_overwrite_writes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, "gen.json", GEN_CONFIG)
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"manifest.json", "outfits.jsonl", "catalog.jsonl"}
+    assert main(["gen-data", "--config", cfg, "--seed", "9", "--out", str(out)]) == 1
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_bench_smoke(tmp_path):
     out = tmp_path / "bench"
     assert main(["bench", "--sizes", "120", "--repeats", "3", "--out", str(out)]) == 0
@@ -148,6 +185,7 @@ def test_bench_smoke(tmp_path):
     st_rows = [r for r in rows if r["model"] == "st"]
     assert all(r["forward_passes"] == r["m"] for r in st_rows)
     assert (out / "bench.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "done"
 
 
 def test_version_flag(capsys):

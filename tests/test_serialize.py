@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -7,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from setcomplete.matching import MatchConfig, init_match_params
 from setcomplete.model import ModelConfig, build_variant
 from setcomplete.retrieval import AnnConfig, RetrievalIndex
-from setcomplete.serialize import config_from_meta, pack_arrays, unpack_arrays
+from setcomplete.evaluation import MetricsReport
+from setcomplete.serialize import config_from_meta, pack_arrays, unpack_arrays, write_csv, write_json
 from setcomplete.sets import l2_rows
-from setcomplete.training import load_cst_checkpoint, load_match_checkpoint, save_cst_checkpoint, save_match_checkpoint
+from setcomplete.training import LOG_COLUMNS, load_cst_checkpoint, load_match_checkpoint, save_cst_checkpoint, save_match_checkpoint
 
 LOADERS = {"cst": load_cst_checkpoint, "scorer": load_match_checkpoint, "index": RetrievalIndex.load}
 
@@ -100,3 +103,47 @@ def test_config_from_meta_checks_keys_and_value_types():
         config_from_meta(AnnConfig, {"probes": 2.5}, "ann")
     with pytest.raises(ValueError, match="must be an object, got list"):
         config_from_meta(AnnConfig, [1], "ann")
+
+
+def _old_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _old_csv(path, columns, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: row.get(k, "") for k in columns})
+
+
+def test_text_writers_keep_the_bytes_of_the_writers_they_replace(tmp_path):
+    manifest = {"command": "eval", "out_dir": "runs/x", "seed": None, "config_path": None,
+                "argv": ["eval", "--out", "runs/x"], "version": "0.1.0", "started_at": "2026-01-01T00:00:00",
+                "finished_at": "2026-01-01T00:00:01", "status": "done"}
+    write_json(tmp_path / "manifest.json", manifest)
+    assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == _old_json(manifest)
+
+    report = MetricsReport(seed=3, variants={"CR": {"accuracy": 0.91, "smd": {"mean": -0.2, "n": 50}}},
+                           timing=[{"model": "cst", "variant": "CR", "m": 1, "index_size": 10,
+                                    "median_seconds": 1e-3, "forward_passes": 1, "repeats": 5}])
+    json_path, csv_path = report.save(tmp_path)
+    report_dict = {"seed": report.seed, "variants": report.variants, "timing": report.timing}
+    assert json_path.read_text(encoding="utf-8") == _old_json(report_dict)
+    _old_csv(tmp_path / "old_metrics.csv", ("variant", "metric", "value", "n", "seed"), report.csv_rows())
+    assert csv_path.read_bytes() == (tmp_path / "old_metrics.csv").read_bytes()
+
+    history = [{"epoch": e, "ce": 0.1 * e, "chamfer": 0.0, "sm": 1 / 3, "total": 2.5, "val_recall": 0.75,
+                "val_accuracy": 1.0, "val_smd": -0.125} for e in range(3)]
+    history[1].pop("val_smd")
+    write_csv(tmp_path / "train_log.csv", history, LOG_COLUMNS)
+    _old_csv(tmp_path / "old_train_log.csv", LOG_COLUMNS, history)
+    assert (tmp_path / "train_log.csv").read_bytes() == (tmp_path / "old_train_log.csv").read_bytes()
+
+    bench = [{"model": "cst", "variant": "CR", "m": m, "index_size": 120, "median_seconds": 1e-4 * m,
+              "forward_passes": 1, "repeats": 3} for m in (1, 2)]
+    write_json(tmp_path / "bench.json", bench)
+    assert (tmp_path / "bench.json").read_text(encoding="utf-8") == _old_json(bench)
+    write_csv(tmp_path / "bench.csv", bench, sorted(bench[0]))
+    _old_csv(tmp_path / "old_bench.csv", sorted(bench[0]), bench)
+    assert (tmp_path / "bench.csv").read_bytes() == (tmp_path / "old_bench.csv").read_bytes()

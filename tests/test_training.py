@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from setcomplete import autodiff as ad
+from setcomplete.data import split_outfits
 from setcomplete.model import build_variant
-from setcomplete.serialize import load_arrays, save_arrays
+from setcomplete.serialize import load_arrays, save_arrays, write_csv
 from setcomplete.training import (
     LOG_COLUMNS,
     TrainConfig,
@@ -14,7 +15,6 @@ from setcomplete.training import (
     save_cst_checkpoint,
     save_match_checkpoint,
     train_cst,
-    write_log_csv,
 )
 
 TINY_TRAIN = dict(
@@ -35,7 +35,7 @@ def test_one_epoch_smoke_and_log_columns(tiny_data, tiny_scorer, tmp_path):
     assert len(history) == 1
     assert set(LOG_COLUMNS) <= set(history[0])
     path = tmp_path / "log.csv"
-    write_log_csv(path, history)
+    write_csv(path, history, LOG_COLUMNS)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == list(LOG_COLUMNS)
@@ -55,11 +55,20 @@ def test_chamfer_variant_folds_into_total(tiny_data, tmp_path):
     assert history[0]["ce"] == 0.0
     assert history[0]["total"] > 0.0
     path = tmp_path / "log.csv"
-    write_log_csv(path, history)
+    write_csv(path, history, LOG_COLUMNS)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["chamfer"]) > 0.0
     assert float(rows[0]["chamfer"]) == history[0]["total"]
+
+
+def test_sequential_baseline_trains_with_validation(tiny_data):
+    catalog, outfits = tiny_data
+    assert split_outfits(outfits)["val"]
+    params, history = train_cst(catalog, outfits, None, tiny_config(variant="st", epochs=1))
+    assert params.variant == "st"
+    assert 0.0 < history[0]["val_recall"] <= 1.0
+    assert history[0]["val_accuracy"] == 1.0  # st retrieves within the requested category
 
 
 def test_training_is_bitwise_deterministic(tiny_data, tiny_scorer):
