@@ -2,12 +2,15 @@
 
 The hot inner loops of the package live here: masked multi-head attention
 (forward and backward), layer normalization (forward and backward), top-k
-selection with deterministic tie-breaking, and nearest-centroid assignment.
+selection with deterministic tie-breaking, the screen of reduced-precision
+retrieval scores, and nearest-centroid assignment.
 
 All kernels are deterministic: no threading, no reduction reordering.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -121,6 +124,37 @@ def topk_select(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
         if len(pool) >= k:
             return pool[np.lexsort((ids[pool], -scores[pool]))[:k]]
     return np.lexsort((ids, -scores))[:k]
+
+
+# From this many scores up, screen cuts a sample first. The measured crossover
+# (random float32 scores, one thread) lies between 7,400 and 20,000 scores
+# for k = 1 and 32: at 2,500, 14 us direct against 26 us sampled; at 50,000,
+# 107 against 53 us.
+SCREEN_SAMPLE_MIN = 8192
+
+
+def screen(scores: np.ndarray, k: int, margin: float) -> np.ndarray:
+    """Ascending positions of the float32 scores at least the k-th best minus `margin`.
+
+    The cut is a Python float, which NumPy rounds to the nearest float32
+    for the comparison. Rounding it up skips no score at or above it (no
+    float32 lies in between); rounding it down also keeps the scores equal
+    to the float32 just below it, one more tie level. From SCREEN_SAMPLE_MIN
+    scores up, every int(sqrt(n / k))-th score is sampled. The sample's k-th
+    best is at or below the k-th best of all (a subset's cannot be higher),
+    so it is a first cut, and only the scores above it are partitioned. The
+    scores must not be NaN. Needs 0 < k < len(scores).
+    """
+    pool, vals = None, scores
+    step = int(math.sqrt(scores.shape[0] / k))
+    if scores.shape[0] >= SCREEN_SAMPLE_MIN and step > 1:
+        sample = scores[::step]
+        cut = float(np.partition(sample, len(sample) - k)[len(sample) - k])
+        pool = (scores >= cut - margin).nonzero()[0]
+        vals = scores[pool]
+    cut = float(vals.max() if k == 1 else np.partition(vals, len(vals) - k)[len(vals) - k])
+    keep = (vals >= cut - margin).nonzero()[0]
+    return keep if pool is None else pool[keep]
 
 
 # ---------------------------------------------------------------------------

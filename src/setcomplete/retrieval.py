@@ -1,15 +1,25 @@
 """Item feature index: exact and coarse-clustered approximate neighbor search.
 
 Similarity is the dot product, which equals cosine on the unit-norm features
-the models emit. Exact mode scans all candidates; approximate mode scans only
-the members of the P clusters nearest to the query (k-means, fixed
-iterations, seeded), kept as contiguous inverted lists, one per cluster and
-category. Ranking ties break by ascending item id so results form a total
-order.
+the models emit. Items are stored as contiguous lists, one per cluster and
+category (an index without clustering is one cluster). Exact mode scans
+every list; approximate mode scans the lists of the P clusters nearest to
+the query (k-means, fixed iterations, seeded). Ranking ties break by
+ascending item id so results form a total order.
+
+A query scores its lists in two passes. The first reads a float32 copy of
+the features, half the bytes of the float64 rows. Each float32 score is
+within a proven margin m of the float64 one, so only the rows scoring at
+least the k-th best minus 2m can reach the top k. The second pass rescores
+those few rows in float64, bitwise as a one-thread ``features @ query``.
+Where no margin holds (non-finite or out-of-range values), every row is
+rescored. The copy costs N * D * 4 bytes plus 8 per id, next to the float64
+rows kept in id order for ``similarities`` and ``save``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -33,10 +43,17 @@ ROWWISE_MAX_ROWS = 8
 # the last len % 4 rows of a product in a tail kernel. Measured on random
 # rows, the tail kernel's result differs from the grouped one by 1 ulp on 39%
 # of tail rows at feature length 8, 63% at 32 and 74% at 100 (none below 8).
-# Every inverted-list product therefore runs over whole groups of LIST_PAD
-# rows, reading into the next list or the LIST_PAD - 1 zero rows after the
-# last, and keeps the first len scores, so each row is scored as in a full scan.
-LIST_PAD = 4
+# Rescoring therefore runs over the gathered rows padded with zero rows to
+# whole groups of GROUP_ROWS, so each row is scored as in a one-thread
+# `features @ query`.
+GROUP_ROWS = 4
+# Spans shorter than this on average (a filtered exact query over many
+# clusters) are gathered and scored in one product instead of one product
+# each: a product call costs about as much as gathering 100 float32 rows of
+# 32 values (one thread, 2-core VM).
+GATHER_SPAN_ROWS = 100
+# Rows cast to the float32 copy at a time.
+COPY_BLOCK = 4096
 
 
 @dataclass
@@ -103,35 +120,39 @@ class RetrievalIndex:
             if ann.clusters > len(self.ids):
                 raise ValueError("more clusters than items")
             self.centroids, self.assignments = _kmeans(self.features, ann)
-        self._row = {int(i): r for r, i in enumerate(self.ids)}
         self._cats = np.unique(self.categories)
-        self._cat_rows = {int(c): np.where(self.categories == c)[0] for c in self._cats}
-        if self.assignments is not None:
-            self._build_lists()
+        self._cat_pos = {c: j for j, c in enumerate(self._cats.tolist())}
+        self._build_lists()
 
     def _build_lists(self) -> None:
-        """Inverted lists: ids and features in (cluster, category, id) order.
+        """Lists: ids and float32 features in (cluster, category, id) order.
 
         List (c, j), for cluster c and the j-th category in ``_cats``, holds
         rows ``_bounds[c * W + j]`` to ``_bounds[c * W + j + 1]`` (W categories);
         cluster c is rows ``_bounds[c * W]`` to ``_bounds[(c + 1) * W]``.
+        Without clustering, every item is in cluster 0.
         """
         width = len(self._cats)
-        key = np.asarray(self.assignments, dtype=np.int64) * width + np.searchsorted(self._cats, self.categories)
+        key = np.searchsorted(self._cats, self.categories)
+        clusters = 1
+        if self.assignments is not None:
+            clusters = self.centroids.shape[0]
+            key += np.asarray(self.assignments, dtype=np.int64) * width
         order = np.argsort(key, kind="stable")  # ids ascend within each list
-        self._bounds = np.zeros(self.centroids.shape[0] * width + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key, minlength=len(self._bounds) - 1), out=self._bounds[1:])
+        self._bounds = np.zeros(clusters * width + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=clusters * width), out=self._bounds[1:])
         self._list_ids = self.ids[order]
-        self._list_features = np.zeros((len(order) + LIST_PAD - 1, self.dim))
-        # every index is in range; mode="clip" writes straight into `out`,
-        # where the default mode="raise" fills a features-sized temporary first
-        np.take(self.features, order, axis=0, out=self._list_features[: len(order)], mode="clip")
-        # A full scan takes its last N % LIST_PAD rows, the largest ids, from
-        # OpenBLAS's tail kernel; a product over those rows plus LIST_PAD
+        self._list_f32 = np.empty(self.features.shape, dtype=np.float32)
+        with np.errstate(over="ignore"):  # values past float32 get no margin
+            for s in range(0, len(order), COPY_BLOCK):  # no features-sized temporary
+                self._list_f32[s : s + COPY_BLOCK] = self.features[order[s : s + COPY_BLOCK]]
+            # the largest row norm; NaN if any row holds NaN
+            self._norm_max = math.sqrt(np.max(np.einsum("ij,ij->i", self.features, self.features), initial=0.0))
+        # A full scan takes its last N % GROUP_ROWS rows, the largest ids, from
+        # OpenBLAS's tail kernel; a product over those rows plus GROUP_ROWS
         # before them reproduces their similarities.
-        tail = len(order) % LIST_PAD
-        self._tail_id = self.ids[-tail] if tail else None
-        self._tail_from = max(0, len(order) - tail - LIST_PAD)
+        self._tail_rows = len(self.ids) - len(self.ids) % GROUP_ROWS
+        self._tail_from = max(0, self._tail_rows - GROUP_ROWS)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -141,10 +162,18 @@ class RetrievalIndex:
         return self.features.shape[1]
 
     def feature_of(self, item_id: int) -> np.ndarray:
-        return self.features[self._row[int(item_id)]]
+        item_id = int(item_id)
+        row = int(self.ids.searchsorted(item_id))
+        if row == len(self.ids) or self.ids[row] != item_id:
+            raise KeyError(item_id)
+        return self.features[row]
 
     def features_of(self, item_ids) -> np.ndarray:
-        rows = [self._row[int(i)] for i in np.asarray(item_ids).reshape(-1)]
+        item_ids = np.asarray(item_ids, dtype=np.int64).reshape(-1)
+        rows = self.ids.searchsorted(item_ids)
+        found = self.ids[np.minimum(rows, len(self.ids) - 1)] == item_ids
+        if not found.all():
+            raise KeyError(int(item_ids[np.argmin(found)]))
         return self.features[rows]
 
     def similarities(self, queries: np.ndarray) -> np.ndarray:
@@ -162,68 +191,113 @@ class RetrievalIndex:
         """(D, N) copy of the features, made on the first row-wise product."""
         return np.ascontiguousarray(self.features.T)
 
-    def _scan_lists(self, query: np.ndarray, category_filter, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ids and similarities of the items in the probed inverted lists.
+    def _spans(self, query: np.ndarray, category_filter, k: int, mode: str) -> tuple[list[int], list[int]]:
+        """Start and end rows of the lists a query scans.
 
-        A query scans its category's list (every list, unfiltered) in the
-        clusters whose centroids are nearest: ``ann.probes`` of them, and
-        more in centroid order until min(k, |category|) items are found.
-        Each list is one product over a contiguous slice.
+        Exact mode scans its category's list (every list, unfiltered) in every
+        cluster. Approximate mode scans them in the clusters whose centroids
+        are nearest: ``ann.probes`` of them, and more in centroid order until
+        min(k, |category|) items are found.
         """
+        if mode not in ("exact", "approx"):
+            raise ValueError(f"unknown mode {mode!r}")
+        width = len(self._cats)
+        lo, hi = 0, width
+        if category_filter is not None:
+            lo = self._cat_pos.get(int(category_filter))
+            if lo is None:
+                return [], []
+            hi = lo + 1
+        if mode == "exact":
+            if category_filter is None:  # every list, as one span
+                return [0], [len(self.ids)]
+            return self._bounds[lo:-1:width].tolist(), self._bounds[hi::width].tolist()
         if self.centroids is None:
             raise ValueError("index was built without clustering")
-        width = len(self._cats)
         sims = self.centroids @ query
         order = kernels.topk_select(sims, np.arange(len(sims), dtype=np.int64), len(sims)) * width
-        if category_filter is None:
-            starts, ends = self._bounds[order], self._bounds[order + width]
-        else:
-            j = int(np.searchsorted(self._cats, int(category_filter)))
-            if j == width or self._cats[j] != int(category_filter):
-                return np.empty(0, dtype=np.int64), np.empty(0)
-            starts, ends = self._bounds[order + j], self._bounds[order + j + 1]
+        starts, ends = self._bounds[order + lo], self._bounds[order + hi]
         found = np.cumsum(ends - starts)
         probes = max(self.ann.probes, int(np.searchsorted(found, min(k, found[-1]))) + 1)
-        starts, ends = starts[:probes], ends[:probes]
-        total = int(np.sum(ends - starts))
-        ids = np.empty(total, dtype=np.int64)
-        out = np.empty(total + LIST_PAD - 1)
-        n = 0
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            # rounded up to whole LIST_PAD rows; the next list overwrites the extra scores
-            padded = (e - s + LIST_PAD - 1) // LIST_PAD * LIST_PAD
-            np.matmul(self._list_features[s : s + padded], query, out=out[n : n + padded])
-            ids[n : n + e - s] = self._list_ids[s:e]
-            n += e - s
-        sims = out[:total]
-        if self._tail_id is not None:
-            fix = np.flatnonzero(ids >= self._tail_id)
-            if len(fix):
-                tail = self.features[self._tail_from :] @ query
-                sims[fix] = tail[np.searchsorted(self.ids, ids[fix]) - self._tail_from]
-        return ids, sims
+        return starts[:probes].tolist(), ends[:probes].tolist()
+
+    def _margin(self, query: np.ndarray) -> float | None:
+        """Bound on |float32 score - float64 score| over every row, or None.
+
+        Casting x and q to float32 and a float32 dot product over D terms,
+        in any summation order, give sum_i x_i q_i (1 + t_i) with
+        |t_i| <= g(D + 2), where g(n) = n u / (1 - n u) and u = 2**-24
+        (Higham, "Accuracy and Stability of Numerical Algorithms", 2002,
+        section 3.1). So |s32 - x.q| <= g(D + 2) |x| |q|. Using g(D + 4)
+        leaves at least 2u |x| |q|, which covers the float64 product's own
+        error and the rounding of the norms. Underflow adds at most 2**-150
+        per cast or product: the absolute term. The bound needs norms in
+        float32's normal range whose product it can hold; otherwise, and
+        for NaN rows (their norm is NaN), there is none.
+        """
+        qn, xn, dim = math.sqrt(query @ query), self._norm_max, self.features.shape[1]
+        if not (2.0**-126 <= qn < 2.0**126 and 2.0**-126 <= xn < 2.0**126 and qn * xn < 2.0**126):
+            return None
+        gamma = (dim + 4) * 2.0**-24 / (1.0 - (dim + 4) * 2.0**-24)
+        return gamma * qn * xn + 2.0**-149 * (dim + math.sqrt(dim) * (qn + xn))
+
+    def _rescore(self, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
+        """Float64 similarities of `ids`, bitwise as a one-thread ``features @ query``."""
+        rows = self.ids.searchsorted(ids)
+        gathered = np.zeros((-(-len(rows) // GROUP_ROWS) * GROUP_ROWS, self.features.shape[1]))
+        self.features.take(rows, axis=0, out=gathered[: len(rows)], mode="clip")
+        sims = (gathered @ query)[: len(rows)]
+        if self._tail_rows < len(self.ids):
+            fix = (rows >= self._tail_rows).nonzero()[0]
+            sims[fix] = (self.features[self._tail_from :] @ query)[rows[fix] - self._tail_from]
+        return sims
+
+    def _scan(self, query: np.ndarray, starts: list[int], ends: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and float64 similarities of every row that can reach the top k.
+
+        The float32 scores of the spans go into one buffer. With the k-th
+        best of them t, a row scoring below t - 2m is beaten by k rows on
+        the float64 score, so only the rest are rescored. Without a margin m,
+        or with k at least the row count, every row is rescored.
+        """
+        lengths = [e - s for s, e in zip(starts, ends)]
+        total = sum(lengths)
+        margin = self._margin(query) if k < total else None
+        if margin is None:  # every row survives
+            pos = np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])
+        elif len(starts) == 1:
+            scores = self._list_f32[starts[0] : ends[0]] @ query.astype(np.float32)
+            pos = kernels.screen(scores, k, 2.0 * margin) + starts[0]
+        else:
+            query32 = query.astype(np.float32)
+            offsets = np.cumsum(lengths)
+            shift = np.subtract(starts, offsets) + lengths  # copy row = buffer position + its span's shift
+            if total < GATHER_SPAN_ROWS * len(starts):
+                rows = np.repeat(shift, lengths) + np.arange(total)
+                pos = rows[kernels.screen(self._list_f32[rows] @ query32, k, 2.0 * margin)]
+            else:
+                scores = np.empty(total, dtype=np.float32)
+                for s, e, n in zip(starts, ends, (offsets - lengths).tolist()):
+                    np.matmul(self._list_f32[s:e], query32, out=scores[n : n + e - s])
+                keep = kernels.screen(scores, k, 2.0 * margin)
+                pos = keep + shift[np.searchsorted(offsets, keep, side="right")]
+        ids = self._list_ids[pos]
+        return ids, self._rescore(ids, query)
 
     def query_knn(self, query: np.ndarray, k: int, category_filter: int | None = None, mode: str = "exact") -> list[tuple[int, float]]:
         """Ranked (item_id, similarity), descending, ties by ascending id.
 
-        Approximate similarities, and exact ones without a filter, are bitwise
-        those of ``features @ query``. A filtered exact query scores a gathered
-        copy of the category's rows, which can differ in the last bit.
+        Similarities are bitwise those of a one-thread ``features @ query``.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         query = np.asarray(query, dtype=np.float64)
-        if mode == "approx":
-            ids, sims = self._scan_lists(query, category_filter, k)
-        elif mode == "exact":
-            rows = slice(None) if category_filter is None else self._cat_rows.get(int(category_filter), [])
-            ids, sims = self.ids[rows], self.features[rows] @ query
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        if len(ids) == 0:
+        starts, ends = self._spans(query, category_filter, k, mode)
+        if starts == ends:
             raise ValueError("no candidates after filtering")
+        ids, sims = self._scan(query, starts, ends, k)
         pick = kernels.topk_select(sims, ids, min(k, len(ids)))
-        return [(int(ids[p]), float(sims[p])) for p in pick]
+        return list(zip(ids[pick].tolist(), sims[pick].tolist()))
 
     def query_knn_batch(self, queries: np.ndarray, k: int, mode: str = "exact") -> list[np.ndarray]:
         """Unfiltered ids of the top-k neighbors for each query row."""

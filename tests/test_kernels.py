@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from setcomplete import kernels
 
@@ -117,3 +119,32 @@ def test_attention_op_rejects_all_masked_entry():
     mask[1, :] = 0.0
     with pytest.raises(ValueError):
         mab_graph(ad.const(rng.standard_normal((3, 4, 8))), ad.const(rng.standard_normal((3, 6, 8))), mask, params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    palette=st.lists(st.floats(-4.0, 4.0, width=32), min_size=1, max_size=6),
+    n=st.integers(2, 400),
+    k=st.integers(1, 60),
+    margin=st.sampled_from([0.0, 2.0**-30, 1e-6, 1e-3, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(palette=[0.0], n=15, k=1, margin=0.5, seed=0)  # the sample's cut ties the k-th best
+def test_screen_keeps_every_score_within_the_margin_of_the_kth_best(palette, n, k, margin, seed):
+    # palette values repeat, so ties sit at and around the k-th best
+    rng = np.random.default_rng(seed)
+    k = min(k, n - 1)
+    mixed = np.where(rng.random(n) < 0.5, rng.choice(np.array(palette), size=n), rng.standard_normal(n))
+    scores = mixed.astype(np.float32)
+    cut = Fraction(float(np.sort(scores)[::-1][k - 1])) - Fraction(margin)
+    must = {p for p in range(n) if Fraction(float(scores[p])) >= cut}
+    floor = np.float32(float(cut))  # the largest float32 at or below the cut
+    if Fraction(float(floor)) > cut:
+        floor = np.nextafter(floor, np.float32(-np.inf))
+    for sample_min in (kernels.SCREEN_SAMPLE_MIN, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "SCREEN_SAMPLE_MIN", sample_min)
+            kept = kernels.screen(scores, k, margin)
+        assert np.all(np.diff(kept) > 0)
+        assert must <= set(kept.tolist())
+        assert np.all(scores[kept] >= floor)

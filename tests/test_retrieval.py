@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from setcomplete import kernels, retrieval
 from setcomplete.data import Catalog, GenConfig, Item, generate_dataset
 from setcomplete.serialize import load_arrays, save_arrays
-from setcomplete.retrieval import ROWWISE_MAX_ROWS, AnnConfig, RetrievalIndex, build_index
+from setcomplete.retrieval import GROUP_ROWS, ROWWISE_MAX_ROWS, AnnConfig, RetrievalIndex, build_index
 from setcomplete.sets import l2_rows
 
 
@@ -149,6 +150,17 @@ def test_features_of_returns_aligned_rows(rng):
     rows = index.features_of(ids)
     assert np.array_equal(rows[0], index.features[7])
     assert np.array_equal(rows[1], index.features[3])
+
+
+def test_feature_of_unknown_id_raises_key_error(rng):
+    index = build_index(make_catalog(rng, n=50))
+    for missing in (-1, 50, 10**9):
+        with pytest.raises(KeyError):
+            index.feature_of(missing)
+        with pytest.raises(KeyError):
+            index.features_of([3, missing])
+    assert np.array_equal(index.feature_of(49), index.features[49])
+    assert index.features_of([]).shape == (0, 8)
 
 
 def test_duplicate_ids_rejected(rng):
@@ -326,5 +338,94 @@ def test_load_after_save_derives_identical_inverted_lists(rng, tmp_path):
                            ann=AnnConfig(clusters=6, probes=2, iters=3, seed=1))
     index.save(tmp_path / "index.bin")
     loaded = RetrievalIndex.load(tmp_path / "index.bin")
-    for name in ("_bounds", "_list_ids", "_list_features"):
+    for name in ("_bounds", "_list_ids", "_list_f32"):
         assert np.array_equal(getattr(loaded, name), getattr(index, name)), name
+
+
+def scan_reference(index, query, k, category_filter=None):
+    """Exact hits by a lexsort over ``features @ query`` restricted to the category."""
+    rows = np.arange(len(index.ids)) if category_filter is None else np.flatnonzero(index.categories == category_filter)
+    full = index.features @ query
+    pick = np.lexsort((index.ids[rows], -full[rows]))[:k]
+    return [(int(index.ids[rows[p]]), float(full[rows[p]])) for p in pick]
+
+
+def assert_same_hits(got, want):
+    """Same ids in the same order and bitwise the same similarities (NaN matches NaN)."""
+    assert [i for i, _ in got] == [i for i, _ in want]
+    g, w = np.array([s for _, s in got], dtype=np.float64), np.array([s for _, s in want], dtype=np.float64)
+    assert np.array_equal(np.isnan(g), np.isnan(w))
+    assert np.array_equal(g[~np.isnan(g)].view(np.uint64), w[~np.isnan(w)].view(np.uint64))
+
+
+def adversarial_rows(rng, n, dim, scale):
+    """Rows with exact duplicates, neighbours 1 ulp apart and norms spread over `scale`."""
+    pool = l2_rows(rng.standard_normal((max(1, n // 3), dim))) * scale ** rng.uniform(-1.0, 1.0, size=(max(1, n // 3), 1))
+    feats = pool[rng.integers(0, len(pool), size=n)]
+    nudge = rng.random(n) < 0.3
+    feats[nudge] = np.nextafter(feats[nudge], np.inf)
+    return feats
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 150),
+    dim=st.sampled_from([3, 8, 32, 100]),
+    clusters=st.integers(1, 8),
+    probes=st.integers(1, 8),
+    k=st.integers(1, 80),
+    log_scale=st.integers(0, 10),
+    special=st.sampled_from(["none", "nan_row", "inf_query", "nan_query"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_pass_search_equals_the_float64_lexsort_oracle(n, dim, clusters, probes, k, log_scale, special, seed):
+    # N % 4 takes every value, rows repeat or sit 1 ulp apart, norms run from
+    # 1e-10 to 1e10; a NaN row or a non-finite query leaves no float32 margin
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    feats = adversarial_rows(rng, n, dim, scale)
+    if special == "nan_row":
+        feats[rng.integers(0, n)] = np.nan
+    ids = rng.permutation(3 * n)[:n]
+    cats = rng.integers(0, 3, size=n)
+    clusters = min(clusters, n)
+    index = RetrievalIndex(ids, feats, cats, ann=AnnConfig(clusters=clusters, probes=probes),
+                           centroids=l2_rows(rng.standard_normal((clusters, dim))),
+                           assignments=rng.integers(0, clusters, size=n))
+    queries = [index.features[rng.integers(0, n)], adversarial_rows(rng, 1, dim, scale)[0]]
+    if special == "inf_query":
+        queries[1][0] = np.inf
+    elif special == "nan_query":
+        queries[1][-1] = np.nan
+    for patched in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if patched:  # the sampled cut and one product per span, which these sizes do not reach
+                mp.setattr(kernels, "SCREEN_SAMPLE_MIN", 0)
+                mp.setattr(retrieval, "GATHER_SPAN_ROWS", 0)
+            for q in queries:
+                assert_same_hits(index.query_knn(q, k), scan_reference(index, q, k))
+                assert_same_hits(index.query_knn(q, k, mode="approx"), probed_reference(index, q, k))
+                for cat in np.unique(cats):
+                    assert_same_hits(index.query_knn(q, k, category_filter=cat), scan_reference(index, q, k, cat))
+                    assert_same_hits(index.query_knn(q, k, category_filter=cat, mode="approx"),
+                                     probed_reference(index, q, k, cat))
+                assert_same_hits(index.query_knn(q, n + k), scan_reference(index, q, n + k))
+
+
+@pytest.mark.parametrize("dim", [3, 8, 32, 100])
+def test_rescoring_padded_row_groups_reproduces_the_full_scan(dim):
+    # Rescoring relies on BLAS's dgemv scoring each row of a product padded to
+    # whole GROUP_ROWS-row groups exactly as in the full `features @ query`,
+    # tail rows aside. A BLAS that breaks this must fail here, not in a ranking.
+    rng = np.random.default_rng(dim)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 1001, 1002, 1003, 1004):
+        feats = rng.standard_normal((n, dim))
+        index = RetrievalIndex(np.arange(n), feats, np.zeros(n, dtype=np.int64))
+        for q in rng.standard_normal((3, dim)):
+            full = feats @ q
+            for ids in (index.ids, rng.permutation(n), rng.choice(n, size=rng.integers(1, n + 1), replace=False)):
+                got = index._rescore(ids, q)
+                bad = int(np.sum(got.view(np.uint64) != full[ids].view(np.uint64)))
+                assert bad == 0, (f"{blas['name']} {blas['version']}: rescoring rows padded to groups of {GROUP_ROWS} "
+                                  f"differs from features @ q on {bad} of {len(ids)} rows (N={n}, D={dim})")
