@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from .data import Catalog, Outfit, SplitTriple, split_outfit
-from .matching import MatchParams, category_matched_negative, match_score_batch
+from .matching import MatchParams, category_matched_negative, match_scores
 from .model import (
     CSTParams,
     complete_batch,
@@ -28,7 +28,7 @@ from .retrieval import RetrievalIndex
 from .serialize import write_csv, write_json
 from .sets import FeatureSet
 
-# Set pairs scored per scorer call by smd and finb_eval.
+# Queries per scorer call in smd, and candidate sets per scorer call in finb_eval.
 SCORE_BATCH = 64
 # Category-matched negative candidate sets per FINB question.
 FINB_NEGATIVES = 7
@@ -140,9 +140,8 @@ def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: Retrieval
     for start in range(0, len(triples), SCORE_BATCH):
         chunk = triples[start : start + SCORE_BATCH]
         chunk_pred = preds[start : start + SCORE_BATCH]
-        xs = [t.x.features for t in chunk]
-        s_hat = match_score_batch(scorer, xs, chunk_pred)
-        s_true = match_score_batch(scorer, xs, [t.y.features for t in chunk])
+        xs, ys = [t.x.features for t in chunk], [t.y.features for t in chunk]
+        s_hat, s_true = match_scores(scorer, xs, [chunk_pred, ys])
         samples.extend((s_hat - s_true).tolist())
     arr = np.asarray(samples)
     return {
@@ -223,21 +222,18 @@ def finb_eval(
             sums = [float(np.sum(yhat * catalog.features_of(ids))) for ids in cands]
             correct += int(int(np.argmax(sums)) == pos)
     else:
-        scorer: MatchParams = model_or_scorer
-        flat_x, flat_y = [], []
-        for triple, cands, _ in usable:
-            for ids in cands:
-                flat_x.append(triple.x.features)
-                flat_y.append(catalog.features_of(ids))
-        scores = np.empty(len(flat_x))
-        for start in range(0, len(flat_x), SCORE_BATCH):
-            scores[start : start + SCORE_BATCH] = match_score_batch(
-                scorer, flat_x[start : start + SCORE_BATCH], flat_y[start : start + SCORE_BATCH]
-            )
+        # each chunk scores every candidate of its questions against the question's X, encoded once
         per = FINB_NEGATIVES + 1
-        for i, (_, _, pos) in enumerate(usable):
-            block = scores[i * per : (i + 1) * per]
-            correct += int(int(np.argmax(block)) == pos)
+        step = max(1, SCORE_BATCH // per)
+        for start in range(0, len(usable), step):
+            chunk = usable[start : start + step]
+            (scores,) = match_scores(
+                model_or_scorer, [triple.x.features for triple, _, _ in chunk],
+                [[catalog.features_of(ids) for _, cands, _ in chunk for ids in cands]],
+                x_of=np.repeat(np.arange(len(chunk)), per),
+            )
+            for i, (_, _, pos) in enumerate(chunk):
+                correct += int(int(np.argmax(scores[i * per : (i + 1) * per])) == pos)
 
     n = len(usable)
     low, high = binomial_ci(correct, n)

@@ -1,11 +1,13 @@
 """Attention building blocks over sets: MAB, SAB and the slot-attention layer.
 
 A block is one tape op, :func:`autodiff.mab`: attention, residual, layer
-norm and feed-forward run as one node with a hand-written backward, so a
-block records 13 nodes (the op and its 12 weights). :func:`mab_graph` adds
-that node for a padded batch; SAB is the same block with queries and
-key/values one tensor. The public single-set functions lift a
-:class:`FeatureSet` to a batch of one and evaluate the block without a tape.
+norm and feed-forward run as one node with a hand-written backward.
+:func:`mab_graph` adds that node for a padded batch; SAB is the same block
+with queries and key/values one tensor. The 12 weight nodes belong to the
+block's :class:`AttentionParams`, built once and shared by every call, so a
+graph holds them once however often it uses the block. The public
+single-set functions lift a :class:`FeatureSet` to a batch of one and
+evaluate the block without a tape.
 
 Contracts: outputs are permutation-equivariant in the queries and
 permutation-invariant in the key/value set, and masked key rows receive zero
@@ -15,7 +17,7 @@ attention weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,19 +27,36 @@ from .sets import FeatureSet
 
 @dataclass
 class AttentionParams:
-    """Handle to one attention block's parameters inside a ParamStore."""
+    """Handle to one attention block's parameters inside a ParamStore.
+
+    The 12 weight tensors are built once, in MAB_WEIGHTS order, when the
+    handle is made. Each holds the store's own array, so updates made in
+    place (an SGD step, a checkpoint load, the best-epoch restore) reach the
+    next forward. Whether they take gradients follows ``store.frozen`` when
+    a block is built, so freezing the store after the handle exists also
+    stops their gradients.
+    """
 
     store: ad.ParamStore
     prefix: str
     dim: int
     heads: int
+    _weights: tuple = field(init=False, repr=False, compare=False)
+    _frozen: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
+        self._weights = tuple(ad.param(self.store, f"{self.prefix}.{name}") for name, _ in ad.MAB_WEIGHTS)
+        self._frozen = self.store.frozen
 
-    def tensor(self, name: str) -> ad.Tensor:
-        return ad.param(self.store, f"{self.prefix}.{name}")
+    def weights(self) -> tuple[ad.Tensor, ...]:
+        """The weight tensors in MAB_WEIGHTS order, taking gradients unless the store is frozen."""
+        if self._frozen != self.store.frozen:
+            self._frozen = self.store.frozen
+            for w in self._weights:
+                w.requires_grad = not self._frozen
+        return self._weights
 
 
 def init_attention_params(
@@ -64,8 +83,7 @@ def mab_graph(
     q: (B, M, D) queries, kv: (B, N, D) key/values, key_mask: (B, N) with 1.0
     marking valid kv rows. Returns (B, M, D).
     """
-    weights = {name: params.tensor(name) for name, _ in ad.MAB_WEIGHTS}
-    return ad.mab(q, kv, key_mask, weights, params.heads)
+    return ad.mab(q, kv, key_mask, params.weights(), params.heads)
 
 
 def _check_pair(queries: FeatureSet, keyvalues: FeatureSet, params: AttentionParams) -> None:

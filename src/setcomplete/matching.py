@@ -122,12 +122,24 @@ def match_score(x: FeatureSet, y: FeatureSet, params: MatchParams) -> float:
     return float(out.values[0])
 
 
-def match_score_batch(params: MatchParams, xs: list[np.ndarray], ys: list[np.ndarray]) -> np.ndarray:
-    """Scores for aligned lists of raw feature matrices."""
+def match_scores(params: MatchParams, xs: list[np.ndarray], ys_lists, x_of=None) -> list[np.ndarray]:
+    """Scores of each list of raw feature matrices in `ys_lists` against the
+    query sets `xs`: entry i of a list against xs[x_of[i]], or against xs[i]
+    when x_of is None.
+
+    Each X is encoded once, however many sets it is scored against. Each list
+    is encoded as a batch of its own, so two equal lists score bitwise equal.
+    """
     xa, mask_a = pad_stack(xs)
-    xb, mask_b = pad_stack(ys)
+    out = []
     with ad.inference():
-        return match_graph(params, xa, mask_a, xb, mask_b).values
+        ex = encode_graph(params, xa, mask_a)
+        if x_of is not None:
+            ex, mask_a = ad.gather_rows(ex, x_of), mask_a[x_of]
+        for ys in ys_lists:
+            xb, mask_b = pad_stack(ys)
+            out.append(symmetric_score(params, ex, mask_a, encode_graph(params, xb, mask_b), mask_b).values)
+    return out
 
 
 def category_matched_negative(y_ids: np.ndarray, categories: np.ndarray, by_category: dict[int, np.ndarray], rng: np.random.Generator) -> np.ndarray:
@@ -175,9 +187,11 @@ def pretrain_matching(catalog, outfits, config: MatchConfig | None = None, log=N
                 xs.append(catalog.features_of(x_ids))
                 ys_pos.append(catalog.features_of(y_ids))
                 ys_neg.append(catalog.features_of(neg_ids))
-            xa, mask_a = pad_stack(xs + xs)
+            xa, mask_a = pad_stack(xs)
             xb, mask_b = pad_stack(ys_pos + ys_neg)
-            scores = match_graph(params, xa, mask_a, xb, mask_b)
+            ex = encode_graph(params, xa, mask_a)  # once, for the positive and the negative half
+            ex2, mask_a2 = ad.concat([ex, ex], axis=0), np.concatenate([mask_a, mask_a])
+            scores = symmetric_score(params, ex2, mask_a2, encode_graph(params, xb, mask_b), mask_b)
             sign = np.concatenate([-np.ones(len(xs)), np.ones(len(xs))])
             loss_node = ad.tmean(ad.softplus(ad.mul(scores, ad.const(sign))))
             graph = ad.Graph(loss_node)

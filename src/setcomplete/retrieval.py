@@ -194,9 +194,11 @@ class RetrievalIndex:
     def _spans(self, query: np.ndarray, category_filter, k: int, mode: str) -> tuple[list[int], list[int]]:
         """Start and end rows of the lists a query scans.
 
-        Exact mode scans its category's list (every list, unfiltered) in every
-        cluster. Approximate mode scans them in the clusters whose centroids
-        are nearest: ``ann.probes`` of them, and more in centroid order until
+        Exact mode scans every list as one span, or its category's list in an
+        index without clustering (a clustered index reads a category through
+        ``_category_rows``). Approximate mode scans the category's lists (all
+        lists, unfiltered) in the clusters whose centroids are nearest:
+        ``ann.probes`` of them, and more in centroid order until
         min(k, |category|) items are found.
         """
         if mode not in ("exact", "approx"):
@@ -211,7 +213,7 @@ class RetrievalIndex:
         if mode == "exact":
             if category_filter is None:  # every list, as one span
                 return [0], [len(self.ids)]
-            return self._bounds[lo:-1:width].tolist(), self._bounds[hi::width].tolist()
+            return [int(self._bounds[lo])], [int(self._bounds[hi])]
         if self.centroids is None:
             raise ValueError("index was built without clustering")
         sims = self.centroids @ query
@@ -252,16 +254,45 @@ class RetrievalIndex:
             sims[fix] = (self.features[self._tail_from :] @ query)[rows[fix] - self._tail_from]
         return sims
 
-    def _scan(self, query: np.ndarray, starts: list[int], ends: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ids and float64 similarities of every row that can reach the top k.
+    @cached_property
+    def _category_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """List rows in (category, cluster, id) order, and where each category starts.
 
-        The float32 scores of the spans go into one buffer. With the k-th
-        best of them t, a row scoring below t - 2m is beaten by k rows on
-        the float64 score, so only the rest are rescored. Without a margin m,
-        or with k at least the row count, every row is rescored.
+        Made on the first filtered exact query of a clustered index: that
+        query then reads its category's rows, one span in every cluster, with
+        one gather of a slice of these rows.
+        """
+        width = len(self._cats)
+        clusters = (len(self._bounds) - 1) // width
+        category = np.repeat(np.tile(np.arange(width), clusters), np.diff(self._bounds))
+        order = np.argsort(category, kind="stable")
+        return order, np.searchsorted(category[order], np.arange(width + 1))
+
+    def _scan_rows(self, query: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and float64 similarities of the list `rows` that can reach the top k.
+
+        The rows are gathered and scored in float32 by one product. With the
+        k-th best of those scores t, a row scoring below t - 2m is beaten by k
+        rows on the float64 score, so only the rest are rescored. Without a
+        margin m, or with k at least the row count, every row is rescored.
+        """
+        margin = self._margin(query) if k < len(rows) else None
+        if margin is not None:
+            rows = rows[kernels.screen(self._list_f32[rows] @ query.astype(np.float32), k, 2.0 * margin)]
+        ids = self._list_ids[rows]
+        return ids, self._rescore(ids, query)
+
+    def _scan(self, query: np.ndarray, starts: list[int], ends: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_scan_rows` over the rows of the spans, in order.
+
+        Many short spans are gathered as rows. One span is scored as a slice
+        of the copy, and many long ones one product per span into one buffer.
         """
         lengths = [e - s for s, e in zip(starts, ends)]
         total = sum(lengths)
+        if len(starts) > 1 and total < GATHER_SPAN_ROWS * len(starts):
+            shift = np.subtract(starts, np.cumsum(lengths)) + lengths  # copy row = buffer position + its span's shift
+            return self._scan_rows(query, np.repeat(shift, lengths) + np.arange(total), k)
         margin = self._margin(query) if k < total else None
         if margin is None:  # every row survives
             pos = np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])
@@ -272,15 +303,11 @@ class RetrievalIndex:
             query32 = query.astype(np.float32)
             offsets = np.cumsum(lengths)
             shift = np.subtract(starts, offsets) + lengths  # copy row = buffer position + its span's shift
-            if total < GATHER_SPAN_ROWS * len(starts):
-                rows = np.repeat(shift, lengths) + np.arange(total)
-                pos = rows[kernels.screen(self._list_f32[rows] @ query32, k, 2.0 * margin)]
-            else:
-                scores = np.empty(total, dtype=np.float32)
-                for s, e, n in zip(starts, ends, (offsets - lengths).tolist()):
-                    np.matmul(self._list_f32[s:e], query32, out=scores[n : n + e - s])
-                keep = kernels.screen(scores, k, 2.0 * margin)
-                pos = keep + shift[np.searchsorted(offsets, keep, side="right")]
+            scores = np.empty(total, dtype=np.float32)
+            for s, e, n in zip(starts, ends, (offsets - lengths).tolist()):
+                np.matmul(self._list_f32[s:e], query32, out=scores[n : n + e - s])
+            keep = kernels.screen(scores, k, 2.0 * margin)
+            pos = keep + shift[np.searchsorted(offsets, keep, side="right")]
         ids = self._list_ids[pos]
         return ids, self._rescore(ids, query)
 
@@ -292,10 +319,17 @@ class RetrievalIndex:
         if k < 1:
             raise ValueError("k must be at least 1")
         query = np.asarray(query, dtype=np.float64)
-        starts, ends = self._spans(query, category_filter, k, mode)
-        if starts == ends:
-            raise ValueError("no candidates after filtering")
-        ids, sims = self._scan(query, starts, ends, k)
+        if mode == "exact" and category_filter is not None and self.centroids is not None:
+            j = self._cat_pos.get(int(category_filter))
+            if j is None:
+                raise ValueError("no candidates after filtering")
+            order, first = self._category_rows
+            ids, sims = self._scan_rows(query, order[first[j] : first[j + 1]], k)
+        else:
+            starts, ends = self._spans(query, category_filter, k, mode)
+            if starts == ends:
+                raise ValueError("no candidates after filtering")
+            ids, sims = self._scan(query, starts, ends, k)
         pick = kernels.topk_select(sims, ids, min(k, len(ids)))
         return list(zip(ids[pick].tolist(), sims[pick].tolist()))
 

@@ -58,23 +58,28 @@ def test_nan_in_forward_raises():
 
 
 def test_inference_values_match_the_tape_bitwise(rng):
-    store = _mab_store(rng, dim=4)
-    store.add("q", rng.standard_normal((2, 3, 4)))
-    store.add("kv", rng.standard_normal((2, 5, 4)))
-    mask = np.ones((2, 5))
-    mask[1, 2:] = 0.0
+    # B=1 with every key valid skips the mask pass and reduces its rows with
+    # numpy reduces; B=48 with masked keys reduces them column by column
+    for batch, masked in ((2, True), (1, False), (48, True)):
+        store = _mab_store(rng, dim=4)
+        store.add("q", rng.standard_normal((batch, 3, 4)))
+        store.add("kv", rng.standard_normal((batch, 5, 4)))
+        mask = np.ones((batch, 5))
+        if masked:
+            mask[-1, 2:] = 0.0
+        weights = ad.mab_weights(_mab_weights(store))
 
-    def build():
-        q, kv = ad.param(store, "q"), ad.param(store, "kv")
-        ctx = ad.mab(q, kv, mask, _mab_weights(store), 2)
-        normed = ad.mab(ad.relu(ctx), ctx, np.ones((2, 3)), _mab_weights(store), 2)
-        return ad.l2_normalize(ad.matmul(normed, ad.transpose(normed, (0, 2, 1))))
+        def build():
+            q, kv = ad.param(store, "q"), ad.param(store, "kv")
+            ctx = ad.mab(q, kv, mask, weights, 2)
+            normed = ad.mab(ad.relu(ctx), ctx, np.ones((batch, 3)), _mab_weights(store), 2)
+            return ad.l2_normalize(ad.matmul(normed, ad.transpose(normed, (0, 2, 1))))
 
-    taped = build()
-    with ad.inference():
-        untaped = build()
-    assert np.array_equal(untaped.values, taped.values)
-    assert taped.parents and untaped.parents is None
+        taped = build()
+        with ad.inference():
+            untaped = build()
+        assert np.array_equal(untaped.values, taped.values)
+        assert taped.parents and untaped.parents is None
 
 
 def test_inference_non_finite_forward_names_the_op():
@@ -304,13 +309,15 @@ def test_attention_block_with_frozen_weights_differentiates_inputs_only(rng):
 
 def test_attention_block_matches_numpy_reference(rng):
     store = _mab_store(rng, dim=8)
-    q = rng.standard_normal((3, 4, 8))
-    kv = rng.standard_normal((3, 6, 8))
-    mask = (rng.random((3, 6)) > 0.4).astype(np.float64)
-    mask[:, 2] = 1.0
-    got = ad.mab(ad.const(q), ad.const(kv), mask, _mab_weights(store), 2).values
-    expected = _mab_reference(q, kv, mask, store.params, 2)
-    assert np.max(np.abs(got - expected)) < 1e-12
+    # both sides of kernels.ROW_REDUCE_MAX, with and without masked keys
+    for batch, m, n, masked in ((3, 4, 6, True), (1, 3, 4, False), (1, 3, 9, True), (40, 4, 6, True), (64, 5, 9, False)):
+        q = rng.standard_normal((batch, m, 8))
+        kv = rng.standard_normal((batch, n, 8))
+        mask = (rng.random((batch, n)) > 0.4).astype(np.float64) if masked else np.ones((batch, n))
+        mask[:, 2] = 1.0
+        got = ad.mab(ad.const(q), ad.const(kv), mask, _mab_weights(store), 2).values
+        expected = _mab_reference(q, kv, mask, store.params, 2)
+        assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_attention_block_non_finite_output_names_the_op(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from setcomplete import autodiff as ad
-from setcomplete.layers import AttentionParams, init_attention_params, mab, sab, slot_attention_layer
+from setcomplete.layers import AttentionParams, init_attention_params, mab, mab_graph, sab, slot_attention_layer
 from setcomplete.sets import FeatureSet
 
 
@@ -137,3 +137,51 @@ def test_rejects_mismatched_and_empty_inputs(rng):
         mab(q, FeatureSet(rng.standard_normal((3, 4))), params)
     with pytest.raises(ValueError):
         mab(q, FeatureSet(np.zeros((2, 8)), np.zeros(2)), params)
+
+
+def _block_output(params, q, kv, mask):
+    with ad.inference():
+        return mab_graph(ad.const(q), ad.const(kv), mask, params).values
+
+
+def test_freezing_after_the_handles_exist_stops_weight_gradients(rng):
+    params = make_params()
+    inputs = ad.ParamStore()
+    inputs.add("q", rng.standard_normal((2, 3, 8)))
+    inputs.add("kv", rng.standard_normal((2, 4, 8)))
+    mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+
+    def loss():
+        out = mab_graph(ad.param(inputs, "q"), ad.param(inputs, "kv"), mask, params)
+        return ad.Graph(ad.tsum(ad.mul(out, out)))
+
+    graph = loss()
+    _, trainable = ad.eval_and_grad(graph, params.store)
+    assert all(np.abs(g).max() > 0 for g in trainable.values())
+    params.store.freeze()
+    graph = loss()
+    block = graph.root.parents[0].parents[0]
+    assert all(not w.requires_grad for w in block.parents[2:])
+    _, grads = ad.eval_and_grad(graph, params.store)
+    assert all(not g.any() for g in grads.values())
+    # the backward returns no weight products, only the input gradients
+    parts = ad._BACKWARD["mab"](block, np.ones(block.shape))
+    assert all(p is None for p in parts[2:])
+    assert parts[0].shape == (2, 3, 8) and parts[1].shape == (2, 4, 8)
+
+
+def test_in_place_updates_reach_the_next_forward(rng):
+    from setcomplete.training import _load_params
+
+    params = make_params(seed=1)
+    q, kv, mask = rng.standard_normal((1, 3, 8)), rng.standard_normal((1, 4, 8)), np.ones((1, 4))
+    before = _block_output(params, q, kv, mask)
+    grads = {name: rng.standard_normal(arr.shape) for name, arr in params.store.params.items()}
+    ad.sgd_step(params.store, grads, 0.1)
+    stepped = _block_output(params, q, kv, mask)
+    fresh = AttentionParams(params.store, params.prefix, params.dim, params.heads)
+    assert not np.array_equal(stepped, before)
+    assert np.array_equal(stepped, _block_output(fresh, q, kv, mask))
+    other = make_params(seed=2)
+    _load_params(params.store, other.store.params)
+    assert np.array_equal(_block_output(params, q, kv, mask), _block_output(other, q, kv, mask))

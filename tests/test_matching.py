@@ -6,7 +6,7 @@ from setcomplete.matching import (
     MatchConfig,
     init_match_params,
     match_score,
-    match_score_batch,
+    match_scores,
     pretrain_matching,
 )
 from setcomplete.sets import FeatureSet
@@ -47,7 +47,7 @@ def test_batch_scores_match_single(rng):
     params = probe_params()
     xs = [random_set(rng, 3), random_set(rng, 5)]
     ys = [random_set(rng, 2), random_set(rng, 4)]
-    batch = match_score_batch(params, [x.features for x in xs], [y.features for y in ys])
+    (batch,) = match_scores(params, [x.features for x in xs], [[y.features for y in ys]])
     singles = [match_score(x, y, params) for x, y in zip(xs, ys)]
     assert np.allclose(batch, singles, atol=1e-10)
 
