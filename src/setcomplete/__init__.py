@@ -27,7 +27,6 @@ from .losses import LossConfig, ce_inbatch, chamfer, sm_reg, total_loss
 from .data import (
     Catalog,
     GenConfig,
-    Item,
     Outfit,
     SplitTriple,
     generate_dataset,
@@ -79,7 +78,6 @@ __all__ = [
     "total_loss",
     "Catalog",
     "GenConfig",
-    "Item",
     "Outfit",
     "SplitTriple",
     "generate_dataset",

@@ -16,20 +16,12 @@ Outfit files are newline-delimited JSON, one outfit per line:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .sets import FeatureSet, l2_rows
-
-
-@dataclass
-class Item:
-    item_id: int
-    category_id: int
-    feature: np.ndarray
-    style_id: int = -1
+from .sets import FeatureSet, ItemTable, l2_rows, sort_items
 
 
 @dataclass
@@ -57,47 +49,23 @@ class SplitTriple:
                 raise ValueError("query and target sets must be disjoint")
 
 
-class Catalog:
-    """Item universe with arrays prepared for batched lookups."""
+class Catalog(ItemTable):
+    """Item universe: ids, categories, features and styles as id-sorted arrays.
 
-    def __init__(self, items: list[Item]):
-        if not items:
-            raise ValueError("empty catalog")
-        self.items = sorted(items, key=lambda it: it.item_id)
-        self.ids = np.array([it.item_id for it in self.items], dtype=np.int64)
-        if len(np.unique(self.ids)) != len(self.ids):
-            raise ValueError("duplicate item ids")
-        self.features = np.stack([np.asarray(it.feature, dtype=np.float64) for it in self.items])
-        self.categories = np.array([it.category_id for it in self.items], dtype=np.int64)
-        self.styles = np.array([it.style_id for it in self.items], dtype=np.int64)
-        self._row = {int(i): r for r, i in enumerate(self.ids)}
+    Rows are sorted by id on construction; repeated ids and an empty catalog
+    are rejected. Styles default to -1 (unknown).
+    """
+
+    def __init__(self, ids, categories, features, styles=None):
+        styles = np.full(len(ids), -1) if styles is None else styles
+        self.ids, self.features, self.categories, self.styles = sort_items(ids, features, categories, styles)
         self.by_category: dict[int, np.ndarray] = {
             int(c): self.ids[self.categories == c] for c in np.unique(self.categories)
         }
 
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    def row_of(self, item_id: int) -> int:
-        return self._row[int(item_id)]
-
-    def feature_of(self, item_id: int) -> np.ndarray:
-        return self.features[self.row_of(item_id)]
-
-    def features_of(self, item_ids) -> np.ndarray:
-        rows = [self.row_of(i) for i in np.asarray(item_ids, dtype=np.int64)]
-        return self.features[rows]
-
-    def categories_of(self, item_ids) -> np.ndarray:
-        rows = [self.row_of(i) for i in np.asarray(item_ids, dtype=np.int64)]
-        return self.categories[rows]
-
     def subset(self, item_ids) -> "Catalog":
-        return Catalog([self.items[self.row_of(i)] for i in sorted(set(map(int, item_ids)))])
+        rows = self.rows_of(np.unique(np.asarray(item_ids, dtype=np.int64)))
+        return Catalog(self.ids[rows], self.categories[rows], self.features[rows], self.styles[rows])
 
 
 @dataclass
@@ -152,8 +120,7 @@ def generate_dataset(config: GenConfig | None = None) -> tuple[Catalog, list[Out
 
     noise = rng.standard_normal((N, D)) * config.noise
     feats = l2_rows(u_cat[cats] + v_style[styles] + noise)
-    items = [Item(i, int(cats[i]), feats[i], int(styles[i])) for i in range(N)]
-    catalog = Catalog(items)
+    catalog = Catalog(np.arange(N), cats, feats, styles)
 
     bucket: dict[tuple[int, int], np.ndarray] = {}
     for c in range(C):
@@ -186,10 +153,14 @@ def split_outfit(outfit: Outfit, rng: np.random.Generator, catalog: Catalog) -> 
         raise ValueError("outfit too small to split")
     m = int(rng.integers(1, len(ids)))
     perm = rng.permutation(len(ids))
-    y_ids, x_ids = ids[perm[:m]], ids[perm[m:]]
-    x = FeatureSet(catalog.features_of(x_ids), element_ids=x_ids)
-    y = FeatureSet(catalog.features_of(y_ids), element_ids=y_ids)
-    return SplitTriple(x=x, y=y, z=catalog.categories_of(y_ids), outfit_id=outfit.outfit_id)
+    rows = catalog.rows_of(ids)
+    y, x = perm[:m], perm[m:]
+    return SplitTriple(
+        x=FeatureSet(catalog.features[rows[x]], element_ids=ids[x]),
+        y=FeatureSet(catalog.features[rows[y]], element_ids=ids[y]),
+        z=catalog.categories[rows[y]],
+        outfit_id=outfit.outfit_id,
+    )
 
 
 def triples_for(outfits: list[Outfit], catalog: Catalog, seed: int = 0) -> list[SplitTriple]:
@@ -243,17 +214,12 @@ def write_jsonl(path: str | Path, catalog: Catalog, outfits: list[Outfit]) -> No
     """One outfit per line with full item records embedded."""
     with open(path, "w", encoding="utf-8") as fh:
         for o in outfits:
+            rows = catalog.rows_of(o.item_ids)
+            items = zip(catalog.ids[rows].tolist(), catalog.categories[rows].tolist(), catalog.features[rows].tolist())
             record = {
                 "outfit_id": int(o.outfit_id),
                 "likes": int(o.likes),
-                "items": [
-                    {
-                        "item_id": int(i),
-                        "category_id": int(catalog.categories_of([i])[0]),
-                        "feature": [float(v) for v in catalog.feature_of(i)],
-                    }
-                    for i in o.item_ids
-                ],
+                "items": [{"item_id": i, "category_id": c, "feature": f} for i, c, f in items],
             }
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
@@ -302,7 +268,7 @@ def read_jsonl(path: str | Path) -> tuple[Catalog | None, list[Outfit]]:
     rejected. Errors name the offending line. An empty file yields (None, []).
     """
     outfits: list[Outfit] = []
-    items: dict[int, Item] = {}
+    items: dict[int, tuple[int, np.ndarray]] = {}  # item id -> (category, feature), while parsing
     dim = None
     for lineno, record in _records(path):
         try:
@@ -314,27 +280,28 @@ def read_jsonl(path: str | Path) -> tuple[Catalog | None, list[Outfit]]:
                     raise ValueError(f"unknown item fields {sorted(set(it) - _ITEM_KEYS)}")
                 feature = _feature(it["feature"], dim)
                 dim = feature.shape[0]
-                iid = _int64(it["item_id"])
-                if iid in items and not np.array_equal(items[iid].feature, feature):
+                iid, category = _int64(it["item_id"]), _int64(it["category_id"])
+                first_category, first_feature = items.setdefault(iid, (category, feature))
+                if first_feature is not feature and not np.array_equal(first_feature, feature):
                     raise ValueError(f"item {iid} seen with two different features")
-                items.setdefault(iid, Item(iid, _int64(it["category_id"]), feature))
+                if first_category != category:
+                    raise ValueError(f"item {iid} seen with two different categories")
                 ids.append(iid)
             outfits.append(Outfit(_int64(record["outfit_id"]), ids, _int64(record.get("likes", 0))))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf), 1e400 in a feature
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return (Catalog(list(items.values())) if items else None), outfits
+    if not items:
+        return None, outfits
+    categories, features = zip(*items.values())
+    return Catalog(list(items), categories, np.stack(features)), outfits
 
 
 def write_catalog_jsonl(path: str | Path, catalog: Catalog) -> None:
     """Item-per-line companion file that also keeps the hidden style id."""
     with open(path, "w", encoding="utf-8") as fh:
-        for it in catalog.items:
-            record = {
-                "item_id": int(it.item_id),
-                "category_id": int(it.category_id),
-                "style_id": int(it.style_id),
-                "feature": [float(v) for v in it.feature],
-            }
+        columns = (catalog.ids, catalog.categories, catalog.styles, catalog.features)
+        for iid, category, style, feature in zip(*(c.tolist() for c in columns)):
+            record = {"item_id": iid, "category_id": category, "style_id": style, "feature": feature}
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
@@ -344,8 +311,7 @@ def read_catalog_jsonl(path: str | Path) -> Catalog:
     The first feature fixes the feature length, an item id may appear once
     and unknown fields are rejected.
     """
-    items: list[Item] = []
-    seen: set[int] = set()
+    items: dict[int, tuple[int, int, np.ndarray]] = {}  # item id -> (category, style, feature), while parsing
     dim = None
     for lineno, record in _records(path):
         try:
@@ -354,12 +320,12 @@ def read_catalog_jsonl(path: str | Path) -> Catalog:
             feature = _feature(record["feature"], dim)
             dim = feature.shape[0]
             iid = _int64(record["item_id"])
-            if iid in seen:
+            if iid in items:
                 raise ValueError(f"duplicate item id {iid}")
-            seen.add(iid)
-            items.append(Item(iid, _int64(record["category_id"]), feature, _int64(record.get("style_id", -1))))
+            items[iid] = (_int64(record["category_id"]), _int64(record.get("style_id", -1)), feature)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     if not items:
         raise ValueError(f"{path}: empty catalog file")
-    return Catalog(items)
+    categories, styles, features = zip(*items.values())
+    return Catalog(list(items), categories, np.stack(features), styles)

@@ -53,19 +53,21 @@ def predict_triples(
 
 
 def output_features(
-    params: CSTParams, triples: list[SplitTriple], index: RetrievalIndex, slot_seed: int = 0
+    params: CSTParams, triples: list[SplitTriple], index: RetrievalIndex | None, slot_seed: int = 0
 ) -> list[np.ndarray]:
     """Each triple's output features, for any variant: `predict_triples` for
     the one-shot variants, and for the sequential baseline the features of
-    the items `st_sequential_complete` retrieves from `index`."""
-    if params.variant != "st":
+    the items `st_sequential_complete` retrieves from `index` (without an
+    index, `predict_triples` refuses it)."""
+    if params.variant != "st" or index is None:
         return predict_triples(params, triples, slot_seed=slot_seed)
     return [index.features_of(st_sequential_complete(t.x, t.z, params, index)) for t in triples]
 
 
-def _predictions(model, triples: list[SplitTriple], slot_seed: int = 0) -> list[np.ndarray]:
+def _predictions(model, triples: list[SplitTriple], index: RetrievalIndex | None, slot_seed: int = 0) -> list[np.ndarray]:
+    """Output features of a model (through `output_features`), a callable per triple, or precomputed."""
     if isinstance(model, CSTParams):
-        return predict_triples(model, triples, slot_seed=slot_seed)
+        return output_features(model, triples, index, slot_seed)
     if callable(model):
         return [np.asarray(model(t), dtype=np.float64) for t in triples]
     return [np.asarray(p, dtype=np.float64) for p in model]
@@ -78,7 +80,7 @@ def recall_at_k(model, triples: list[SplitTriple], index: RetrievalIndex, k: int
     """Mean over triples of |retrieved-candidate union ∩ Y| / |Y|."""
     if not triples:
         raise ValueError("no evaluation triples")
-    preds = _predictions(model, triples, slot_seed)
+    preds = _predictions(model, triples, index, slot_seed)
     scores = []
     for t, yhat in zip(triples, preds):
         hit_ids = index.query_knn_batch(yhat, k)
@@ -111,14 +113,11 @@ def category_accuracy(model, triples: list[SplitTriple], index: RetrievalIndex, 
     """Share of elements whose top-1 retrieved item has the requested category."""
     if not triples:
         raise ValueError("no evaluation triples")
-    preds = _predictions(model, triples, slot_seed)
-    cat_of = {int(i): int(c) for i, c in zip(index.ids, index.categories)}
+    preds = _predictions(model, triples, index, slot_seed)
     hits, total = 0, 0
     for t, yhat in zip(triples, preds):
-        got = top1_ids(index, yhat)
-        for want, item in zip(t.z, got):
-            hits += int(cat_of[int(item)] == int(want))
-            total += 1
+        hits += int(np.sum(index.categories_of(top1_ids(index, yhat)) == t.z))
+        total += len(t.z)
     return hits / total
 
 
@@ -133,7 +132,7 @@ def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: Retrieval
     """
     if not triples:
         raise ValueError("no evaluation triples")
-    preds = _predictions(model, triples, slot_seed)
+    preds = _predictions(model, triples, index, slot_seed)
     if index is not None:
         preds = [index.features_of(top1_ids(index, y)) for y in preds]
     samples = []
@@ -201,13 +200,12 @@ def finb_eval(
             continue
         rng = np.random.default_rng([seed, 5, outfit.outfit_id])
         triple = split_outfit(outfit, rng, catalog)
-        cats = catalog.categories_of(triple.y.element_ids)
-        if any(len(catalog.by_category[int(c)]) < 2 for c in cats):
+        if any(len(catalog.by_category[int(c)]) < 2 for c in triple.z):
             skipped += 1
             continue
         cand_ids = [np.asarray(triple.y.element_ids, dtype=np.int64)]
         for _ in range(FINB_NEGATIVES):
-            cand_ids.append(category_matched_negative(cand_ids[0], cats, catalog.by_category, rng))
+            cand_ids.append(category_matched_negative(cand_ids[0], triple.z, catalog.by_category, rng))
         order = rng.permutation(FINB_NEGATIVES + 1)
         usable.append((triple, [cand_ids[j] for j in order], int(np.where(order == 0)[0][0])))
 
@@ -217,7 +215,7 @@ def finb_eval(
     correct = 0
     if selector == "cst":
         triples = [u[0] for u in usable]
-        preds = _predictions(model_or_scorer, triples, slot_seed)
+        preds = _predictions(model_or_scorer, triples, None, slot_seed)
         for (triple, cands, pos), yhat in zip(usable, preds):
             sums = [float(np.sum(yhat * catalog.features_of(ids))) for ids in cands]
             correct += int(int(np.argmax(sums)) == pos)
@@ -272,7 +270,7 @@ def _item_histogram(items, top: int) -> dict:
 
 def diversity_histogram(model, triples: list[SplitTriple], index: RetrievalIndex, top: int = 100, slot_seed: int = 0) -> dict:
     """Frequency of each retrieved item over all completions."""
-    preds = _predictions(model, triples, slot_seed)
+    preds = _predictions(model, triples, index, slot_seed)
     return _item_histogram((item for yhat in preds for item in top1_ids(index, yhat)), top)
 
 

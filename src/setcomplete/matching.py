@@ -181,11 +181,11 @@ def pretrain_matching(catalog, outfits, config: MatchConfig | None = None, log=N
                 ids = np.asarray(outfit.item_ids, dtype=np.int64)
                 m = int(rng.integers(1, len(ids)))
                 picked = rng.permutation(len(ids))
-                y_ids, x_ids = ids[picked[:m]], ids[picked[m:]]
-                cats = catalog.categories_of(y_ids)
-                neg_ids = category_matched_negative(y_ids, cats, catalog.by_category, rng)
-                xs.append(catalog.features_of(x_ids))
-                ys_pos.append(catalog.features_of(y_ids))
+                rows = catalog.rows_of(ids)
+                y, x = picked[:m], picked[m:]
+                neg_ids = category_matched_negative(ids[y], catalog.categories[rows[y]], catalog.by_category, rng)
+                xs.append(catalog.features[rows[x]])
+                ys_pos.append(catalog.features[rows[y]])
                 ys_neg.append(catalog.features_of(neg_ids))
             xa, mask_a = pad_stack(xs)
             xb, mask_b = pad_stack(ys_pos + ys_neg)

@@ -13,8 +13,9 @@ within a proven margin m of the float64 one, so only the rows scoring at
 least the k-th best minus 2m can reach the top k. The second pass rescores
 those few rows in float64, bitwise as a one-thread ``features @ query``.
 Where no margin holds (non-finite or out-of-range values), every row is
-rescored. The copy costs N * D * 4 bytes plus 8 per id, next to the float64
-rows kept in id order for ``similarities`` and ``save``.
+rescored. The copy costs N * D * 4 bytes plus 8 per item for its id-order
+row, next to the float64 rows kept in id order for ``similarities`` and
+``save``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .serialize import config_from_meta, load_arrays, reading, save_arrays
-from .sets import l2_rows
+from .sets import ItemTable, l2_rows, sort_items
 
 INDEX_VERSION = 1
 # Up to this many query rows, similarities are one vector-matrix product per
@@ -84,7 +85,7 @@ def _kmeans(features: np.ndarray, config: AnnConfig) -> tuple[np.ndarray, np.nda
     return centroids, labels
 
 
-class RetrievalIndex:
+class RetrievalIndex(ItemTable):
     """Immutable set of items searchable by feature similarity.
 
     Rows are kept in ascending-id order: items given in another order are
@@ -100,18 +101,7 @@ class RetrievalIndex:
         centroids: np.ndarray | None = None,
         assignments: np.ndarray | None = None,
     ):
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.features = np.ascontiguousarray(features, dtype=np.float64)
-        self.categories = np.asarray(categories, dtype=np.int64)
-        if self.ids.ndim != 1 or self.features.shape[0] != len(self.ids) or self.categories.shape != self.ids.shape:
-            raise ValueError("ids, features and categories must align")
-        if np.any(self.ids[1:] <= self.ids[:-1]):
-            order = np.argsort(self.ids, kind="stable")
-            self.ids, self.features, self.categories = self.ids[order], self.features[order], self.categories[order]
-            if assignments is not None:
-                assignments = assignments[order]
-            if np.any(self.ids[1:] == self.ids[:-1]):
-                raise ValueError("item ids must be unique")
+        self.ids, self.features, self.categories, assignments = sort_items(ids, features, categories, assignments)
         self.ann = ann
         self.centroids = centroids
         self.assignments = assignments
@@ -125,7 +115,8 @@ class RetrievalIndex:
         self._build_lists()
 
     def _build_lists(self) -> None:
-        """Lists: ids and float32 features in (cluster, category, id) order.
+        """Lists: float32 features in (cluster, category, id) order, with the
+        id-order row of each (``_list_rows``).
 
         List (c, j), for cluster c and the j-th category in ``_cats``, holds
         rows ``_bounds[c * W + j]`` to ``_bounds[c * W + j + 1]`` (W categories);
@@ -141,7 +132,7 @@ class RetrievalIndex:
         order = np.argsort(key, kind="stable")  # ids ascend within each list
         self._bounds = np.zeros(clusters * width + 1, dtype=np.int64)
         np.cumsum(np.bincount(key, minlength=clusters * width), out=self._bounds[1:])
-        self._list_ids = self.ids[order]
+        self._list_rows = order
         self._list_f32 = np.empty(self.features.shape, dtype=np.float32)
         with np.errstate(over="ignore"):  # values past float32 get no margin
             for s in range(0, len(order), COPY_BLOCK):  # no features-sized temporary
@@ -153,28 +144,6 @@ class RetrievalIndex:
         # before them reproduces their similarities.
         self._tail_rows = len(self.ids) - len(self.ids) % GROUP_ROWS
         self._tail_from = max(0, self._tail_rows - GROUP_ROWS)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    def feature_of(self, item_id: int) -> np.ndarray:
-        item_id = int(item_id)
-        row = int(self.ids.searchsorted(item_id))
-        if row == len(self.ids) or self.ids[row] != item_id:
-            raise KeyError(item_id)
-        return self.features[row]
-
-    def features_of(self, item_ids) -> np.ndarray:
-        item_ids = np.asarray(item_ids, dtype=np.int64).reshape(-1)
-        rows = self.ids.searchsorted(item_ids)
-        found = self.ids[np.minimum(rows, len(self.ids) - 1)] == item_ids
-        if not found.all():
-            raise KeyError(int(item_ids[np.argmin(found)]))
-        return self.features[rows]
 
     def similarities(self, queries: np.ndarray) -> np.ndarray:
         """(Q, N) dot products of each query row with every indexed item."""
@@ -243,9 +212,8 @@ class RetrievalIndex:
         gamma = (dim + 4) * 2.0**-24 / (1.0 - (dim + 4) * 2.0**-24)
         return gamma * qn * xn + 2.0**-149 * (dim + math.sqrt(dim) * (qn + xn))
 
-    def _rescore(self, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
-        """Float64 similarities of `ids`, bitwise as a one-thread ``features @ query``."""
-        rows = self.ids.searchsorted(ids)
+    def _rescore(self, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+        """Float64 similarities of the id-order `rows`, bitwise as a one-thread ``features @ query``."""
         gathered = np.zeros((-(-len(rows) // GROUP_ROWS) * GROUP_ROWS, self.features.shape[1]))
         self.features.take(rows, axis=0, out=gathered[: len(rows)], mode="clip")
         sims = (gathered @ query)[: len(rows)]
@@ -268,19 +236,19 @@ class RetrievalIndex:
         order = np.argsort(category, kind="stable")
         return order, np.searchsorted(category[order], np.arange(width + 1))
 
-    def _scan_rows(self, query: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ids and float64 similarities of the list `rows` that can reach the top k.
+    def _scan_rows(self, query: np.ndarray, pos: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and float64 similarities of the list rows `pos` that can reach the top k.
 
         The rows are gathered and scored in float32 by one product. With the
         k-th best of those scores t, a row scoring below t - 2m is beaten by k
         rows on the float64 score, so only the rest are rescored. Without a
         margin m, or with k at least the row count, every row is rescored.
         """
-        margin = self._margin(query) if k < len(rows) else None
+        margin = self._margin(query) if k < len(pos) else None
         if margin is not None:
-            rows = rows[kernels.screen(self._list_f32[rows] @ query.astype(np.float32), k, 2.0 * margin)]
-        ids = self._list_ids[rows]
-        return ids, self._rescore(ids, query)
+            pos = pos[kernels.screen(self._list_f32[pos] @ query.astype(np.float32), k, 2.0 * margin)]
+        rows = self._list_rows[pos]
+        return self.ids[rows], self._rescore(rows, query)
 
     def _scan(self, query: np.ndarray, starts: list[int], ends: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_scan_rows` over the rows of the spans, in order.
@@ -308,8 +276,8 @@ class RetrievalIndex:
                 np.matmul(self._list_f32[s:e], query32, out=scores[n : n + e - s])
             keep = kernels.screen(scores, k, 2.0 * margin)
             pos = keep + shift[np.searchsorted(offsets, keep, side="right")]
-        ids = self._list_ids[pos]
-        return ids, self._rescore(ids, query)
+        rows = self._list_rows[pos]
+        return self.ids[rows], self._rescore(rows, query)
 
     def query_knn(self, query: np.ndarray, k: int, category_filter: int | None = None, mode: str = "exact") -> list[tuple[int, float]]:
         """Ranked (item_id, similarity), descending, ties by ascending id.
@@ -333,19 +301,10 @@ class RetrievalIndex:
         pick = kernels.topk_select(sims, ids, min(k, len(ids)))
         return list(zip(ids[pick].tolist(), sims[pick].tolist()))
 
-    def query_knn_batch(self, queries: np.ndarray, k: int, mode: str = "exact") -> list[np.ndarray]:
-        """Unfiltered ids of the top-k neighbors for each query row."""
-        queries = np.asarray(queries, dtype=np.float64)
-        if mode == "exact":
-            sims = self.similarities(queries)
-            return [
-                self.ids[kernels.topk_select(sims[i], self.ids, min(k, len(self.ids)))]
-                for i in range(queries.shape[0])
-            ]
-        return [
-            np.array([iid for iid, _ in self.query_knn(q, k, mode=mode)], dtype=np.int64)
-            for q in queries
-        ]
+    def query_knn_batch(self, queries: np.ndarray, k: int) -> list[np.ndarray]:
+        """Ids of the exact, unfiltered top-k neighbors of each query row."""
+        sims = self.similarities(np.asarray(queries, dtype=np.float64))
+        return [self.ids[kernels.topk_select(row, self.ids, min(k, len(self.ids)))] for row in sims]
 
     def save(self, path: str | Path) -> None:
         arrays = {"ids": self.ids, "features": self.features, "categories": self.categories}
@@ -389,8 +348,6 @@ class RetrievalIndex:
 
 def build_index(catalog, ann_config: AnnConfig | None = None, item_ids=None) -> RetrievalIndex:
     """Index a catalog (optionally restricted to `item_ids`)."""
-    if len(catalog.items) == 0:
-        raise ValueError("empty catalog")
     if item_ids is not None:
         catalog = catalog.subset(item_ids)
     return RetrievalIndex(catalog.ids.copy(), catalog.features.copy(), catalog.categories.copy(), ann=ann_config)

@@ -23,6 +23,8 @@ from .retrieval import build_index
 from .serialize import config_from_meta, load_arrays, reading, save_arrays
 
 LOG_COLUMNS = ("epoch", "ce", "chamfer", "sm", "total", "val_recall", "val_accuracy", "val_smd")
+# Neighbors per output feature in the per-epoch validation recall.
+EVAL_K = 32
 
 
 @dataclass
@@ -35,7 +37,6 @@ class TrainConfig:
     alpha: float = 0.5
     temperature: float = 0.2
     seed: int = 0
-    eval_k: int = 32
     dim: int = 32
     heads: int = 4
     slot_layers: int = 3
@@ -176,7 +177,7 @@ def train_cst(
         row["epoch"] = epoch
 
         if val_triples:
-            val = evaluation.quick_val_metrics(params, val_triples, val_index, scorer, k=config.eval_k, seed=config.seed)
+            val = evaluation.quick_val_metrics(params, val_triples, val_index, scorer, k=EVAL_K, seed=config.seed)
             row.update(val)
             metric = val["val_recall"]
         else:

@@ -8,7 +8,6 @@ from scipy import stats
 from setcomplete.data import (
     Catalog,
     GenConfig,
-    Item,
     Outfit,
     SplitTriple,
     category_weights,
@@ -24,6 +23,7 @@ from setcomplete.data import (
     write_catalog_jsonl,
     write_jsonl,
 )
+from setcomplete.retrieval import RetrievalIndex
 from setcomplete.sets import FeatureSet
 
 SMALL = GenConfig(categories=5, styles=3, catalog_size=120, outfits=200, dim=8, min_size=3, max_size=5, seed=4)
@@ -69,7 +69,7 @@ def test_degenerate_noise_collapses_buckets():
             assert np.max(np.abs(rows - rows[0])) < 1e-12
     # every outfit is style-pure, so completion from the bucket is exact
     for o in outfits[:10]:
-        assert len(set(map(int, styles[[catalog.row_of(i) for i in o.item_ids]]))) == 1
+        assert len(set(map(int, styles[catalog.rows_of(o.item_ids)]))) == 1
 
 
 def test_planted_structure_raises_within_outfit_cosine():
@@ -120,7 +120,7 @@ def test_split_triple_rejects_overlap():
 def test_split_size_distribution_is_uniform():
     outfit = Outfit(outfit_id=0, item_ids=[0, 1, 2, 3, 4], likes=0)
     feats = np.eye(8)[:5]
-    catalog = Catalog([Item(item_id=i, category_id=i, feature=feats[i]) for i in range(5)])
+    catalog = Catalog(np.arange(5), np.arange(5), feats)
     rng = np.random.default_rng(42)
     counts = np.zeros(4, dtype=int)
     for _ in range(10_000):
@@ -230,6 +230,16 @@ def test_read_catalog_jsonl_names_the_line_of_a_bad_length_or_a_repeated_id(tmp_
         assert str(err.value) == f"{path}: line 2: {message}"
 
 
+def test_read_jsonl_names_the_line_of_an_item_seen_with_two_categories(tmp_path):
+    path = tmp_path / "outfits.jsonl"
+    first = {"outfit_id": 0, "likes": 1, "items": [{"item_id": 1, "category_id": 0, "feature": [0.0, 1.0]}]}
+    second = {"outfit_id": 1, "likes": 1, "items": [{"item_id": 1, "category_id": 5, "feature": [0.0, 1.0]}]}
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_jsonl(path)
+    assert str(err.value) == f"{path}: line 2: item 1 seen with two different categories"
+
+
 @pytest.mark.parametrize("read", [read_jsonl, read_catalog_jsonl])
 def test_jsonl_readers_name_a_line_that_is_not_utf8(tmp_path, read):
     path = tmp_path / "file.jsonl"
@@ -326,3 +336,63 @@ def test_items_in_unions_unique_ids():
     ids = items_in(outfits[:10])
     manual = sorted({i for o in outfits[:10] for i in o.item_ids})
     assert list(ids) == manual
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_catalog_and_index_share_one_id_sorted_table(tmp_path_factory, ids, seed, data):
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((len(ids), 3))
+    categories = rng.integers(0, 4, size=len(ids))
+    styles = rng.integers(-1, 3, size=len(ids))
+    oracle = {i: (features[r], int(categories[r]), int(styles[r])) for r, i in enumerate(ids)}
+    catalog = Catalog(ids, categories, features, styles)
+    index = RetrievalIndex(ids, features, categories)
+    assert catalog.ids.tolist() == index.ids.tolist() == sorted(ids)
+    for table in (catalog, index):
+        assert np.array_equal(table.features, np.array([oracle[i][0] for i in sorted(ids)]))
+        asked = data.draw(st.lists(st.sampled_from(ids), max_size=10))
+        assert table.ids[table.rows_of(asked)].tolist() == asked
+        assert np.array_equal(table.features_of(asked).reshape(-1, 3), np.array([oracle[i][0] for i in asked]).reshape(-1, 3))
+        assert table.categories_of(asked).tolist() == [oracle[i][1] for i in asked]
+        assert np.array_equal(table.feature_of(ids[0]), oracle[ids[0]][0])
+        unknown = data.draw(st.integers(-(2**63), 2**63 - 1).filter(lambda i: i not in oracle))
+        for lookup in (table.rows_of, table.features_of, table.categories_of):
+            with pytest.raises(KeyError) as err:
+                lookup(asked + [unknown])
+            assert err.value.args == (unknown,)
+        with pytest.raises(KeyError) as err:
+            table.feature_of(unknown)
+        assert err.value.args == (unknown,)
+    kept = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=10))
+    part = catalog.subset(kept)
+    assert part.ids.tolist() == sorted(set(kept))
+    assert [int(c) for c in part.categories] == [oracle[i][1] for i in sorted(set(kept))]
+    assert [int(s) for s in part.styles] == [oracle[i][2] for i in sorted(set(kept))]
+    assert np.array_equal(part.features, np.array([oracle[i][0] for i in sorted(set(kept))]))
+
+    repeated = ids + [data.draw(st.sampled_from(ids))]
+    with pytest.raises(ValueError, match="duplicate item id"):
+        Catalog(repeated, np.zeros(len(repeated)), np.zeros((len(repeated), 3)))
+    with pytest.raises(ValueError, match="duplicate item id"):
+        RetrievalIndex(repeated, np.zeros((len(repeated), 3)), np.zeros(len(repeated)))
+
+    path = tmp_path_factory.mktemp("table") / "catalog.jsonl"
+    write_catalog_jsonl(path, catalog)
+    loaded = read_catalog_jsonl(path)
+    for name in ("ids", "categories", "styles", "features"):
+        got, want = getattr(loaded, name), getattr(catalog, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_catalog_rejects_no_items_and_misaligned_columns():
+    with pytest.raises(ValueError, match="no items"):
+        Catalog([], [], np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="must align"):
+        Catalog([1, 2], [0], np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="must align"):
+        Catalog([1, 2], [0, 0], np.zeros((2, 3)), styles=[0])

@@ -10,12 +10,14 @@ from setcomplete.evaluation import (
     complexity_calc,
     diversity_histogram,
     finb_eval,
+    output_features,
     recall_at_k,
     smd,
     target_histogram,
     top1_ids,
 )
 from setcomplete.matching import MatchConfig, init_match_params
+from setcomplete.model import ModelConfig, build_variant
 from setcomplete.retrieval import RetrievalIndex, build_index
 
 SMALL = GenConfig(categories=5, styles=3, catalog_size=150, outfits=120, dim=8, min_size=3, max_size=5, seed=6)
@@ -110,13 +112,26 @@ def tiny_scorer16():
     return params.freeze()
 
 
+def test_metrics_of_an_st_model_equal_those_of_its_output_features(eval_world, tiny_scorer16):
+    _, _, triples, index = eval_world
+    st = build_variant("st", ModelConfig(dim=8, heads=2, slot_layers=1, sab_layers=1, categories=5), seed=3)
+    triples = triples[:12]
+    preds = output_features(st, triples, index)
+    assert recall_at_k(st, triples, index, k=4) == recall_at_k(preds, triples, index, k=4)
+    assert category_accuracy(st, triples, index) == category_accuracy(preds, triples, index)
+    assert diversity_histogram(st, triples, index) == diversity_histogram(preds, triples, index)
+    assert smd(st, triples, tiny_scorer16, index=index) == smd(preds, triples, tiny_scorer16, index=index)
+    # without an index there is nothing for the sequential baseline to retrieve from
+    with pytest.raises(ValueError, match="st_sequential_complete"):
+        smd(st, triples, tiny_scorer16)
+
+
 def test_top1_ids_prefers_lowest_id_on_ties(rng):
-    from setcomplete.data import Catalog, Item
+    from setcomplete.data import Catalog
 
     feat = rng.standard_normal(4)
     feat /= np.linalg.norm(feat)
-    items = [Item(item_id=i, category_id=0, feature=feat) for i in (5, 2, 9)]
-    index = build_index(Catalog(items))
+    index = build_index(Catalog([5, 2, 9], [0, 0, 0], np.tile(feat, (3, 1))))
     got = top1_ids(index, feat[None])
     assert got[0] == 2
 

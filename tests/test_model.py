@@ -113,10 +113,9 @@ def test_st_forward_counts_and_growth(rng):
 
 
 def build_index_from_rows(features, categories):
-    from setcomplete.data import Catalog, Item
+    from setcomplete.data import Catalog
 
-    items = [Item(item_id=i, category_id=int(categories[i]), feature=features[i]) for i in range(len(features))]
-    return build_index(Catalog(items))
+    return build_index(Catalog(np.arange(len(features)), categories, features))
 
 
 def test_st_rejects_dense_forward(rng):

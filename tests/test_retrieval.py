@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setcomplete import kernels, retrieval
-from setcomplete.data import Catalog, GenConfig, Item, generate_dataset
+from setcomplete.data import Catalog, GenConfig, generate_dataset
 from setcomplete.serialize import load_arrays, save_arrays
 from setcomplete.retrieval import GROUP_ROWS, ROWWISE_MAX_ROWS, AnnConfig, RetrievalIndex, build_index
 from setcomplete.sets import l2_rows
@@ -11,8 +11,7 @@ from setcomplete.sets import l2_rows
 
 def make_catalog(rng, n=100, dim=8, categories=5):
     feats = l2_rows(rng.standard_normal((n, dim)))
-    items = [Item(item_id=i, category_id=i % categories, feature=feats[i]) for i in range(n)]
-    return Catalog(items)
+    return Catalog(np.arange(n), np.arange(n) % categories, feats)
 
 
 def brute_force(index, query, k):
@@ -51,8 +50,7 @@ def test_similarities_of_few_rows_do_not_depend_on_the_batch(rng):
 
 def test_duplicate_features_tie_break_ascending_id(rng):
     feat = l2_rows(rng.standard_normal((1, 4)))[0]
-    items = [Item(item_id=i, category_id=0, feature=feat) for i in (9, 3, 27, 1)]
-    index = build_index(Catalog(items))
+    index = build_index(Catalog([9, 3, 27, 1], [0, 0, 0, 0], np.tile(feat, (4, 1))))
     out = index.query_knn(feat, k=4)
     assert [i for i, _ in out] == [1, 3, 9, 27]
 
@@ -338,7 +336,7 @@ def test_load_after_save_derives_identical_inverted_lists(rng, tmp_path):
                            ann=AnnConfig(clusters=6, probes=2, iters=3, seed=1))
     index.save(tmp_path / "index.bin")
     loaded = RetrievalIndex.load(tmp_path / "index.bin")
-    for name in ("_bounds", "_list_ids", "_list_f32"):
+    for name in ("_bounds", "_list_rows", "_list_f32"):
         assert np.array_equal(getattr(loaded, name), getattr(index, name)), name
 
 
