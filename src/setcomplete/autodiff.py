@@ -379,28 +379,7 @@ def masked_mean(a, mask: np.ndarray) -> Tensor:
     return _op("masked_mean", (as_tensor(a),), mask)
 
 
-# -- softmax / losses ----------------------------------------------------------
-
-
-def _softmax_fwd(t):
-    x = t.parents[0].values
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    w = e / e.sum(axis=-1, keepdims=True)
-    return w, None
-
-
-def _softmax_bwd(t, g):
-    w = t.values
-    return (w * (g - (g * w).sum(axis=-1, keepdims=True)),)
-
-
-_FORWARD["softmax"] = _softmax_fwd
-_BACKWARD["softmax"] = _softmax_bwd
-
-
-def softmax(a) -> Tensor:
-    return _op("softmax", (as_tensor(a),))
+# -- losses --------------------------------------------------------------------
 
 
 def _softplus_fwd(t):

@@ -63,10 +63,6 @@ class Catalog(ItemTable):
             int(c): self.ids[self.categories == c] for c in np.unique(self.categories)
         }
 
-    def subset(self, item_ids) -> "Catalog":
-        rows = self.rows_of(np.unique(np.asarray(item_ids, dtype=np.int64)))
-        return Catalog(self.ids[rows], self.categories[rows], self.features[rows], self.styles[rows])
-
 
 @dataclass
 class GenConfig:

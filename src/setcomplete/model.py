@@ -270,5 +270,5 @@ def st_sequential_complete(x: FeatureSet, labels, params: CSTParams, index) -> l
             raise ValueError(f"retrieval returned no candidate for category {int(label)}")
         item_id, _ = hits[0]
         chosen.append(int(item_id))
-        current = np.concatenate([current, index.feature_of(item_id)[None]], axis=0)
+        current = np.concatenate([current, index.features_of([item_id])], axis=0)
     return chosen

@@ -216,7 +216,8 @@ class RetrievalIndex(ItemTable):
         """Float64 similarities of the id-order `rows`, bitwise as a one-thread ``features @ query``."""
         gathered = np.zeros((-(-len(rows) // GROUP_ROWS) * GROUP_ROWS, self.features.shape[1]))
         self.features.take(rows, axis=0, out=gathered[: len(rows)], mode="clip")
-        sims = (gathered @ query)[: len(rows)]
+        with np.errstate(invalid="ignore"):  # inf * 0 where a query or row is not finite
+            sims = (gathered @ query)[: len(rows)]
         if self._tail_rows < len(self.ids):
             fix = (rows >= self._tail_rows).nonzero()[0]
             sims[fix] = (self.features[self._tail_from :] @ query)[rows[fix] - self._tail_from]
@@ -347,7 +348,9 @@ class RetrievalIndex(ItemTable):
 
 
 def build_index(catalog, ann_config: AnnConfig | None = None, item_ids=None) -> RetrievalIndex:
-    """Index a catalog (optionally restricted to `item_ids`)."""
-    if item_ids is not None:
-        catalog = catalog.subset(item_ids)
-    return RetrievalIndex(catalog.ids.copy(), catalog.features.copy(), catalog.categories.copy(), ann=ann_config)
+    """Index a catalog (optionally restricted to `item_ids`).
+
+    An index over the whole catalog shares the catalog's read-only arrays.
+    """
+    rows = slice(None) if item_ids is None else catalog.rows_of(np.unique(item_ids))
+    return RetrievalIndex(catalog.ids[rows], catalog.features[rows], catalog.categories[rows], ann=ann_config)

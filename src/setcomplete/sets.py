@@ -5,9 +5,10 @@ A :class:`FeatureSet` is the unit of data every model op consumes: a
 element ids. Masked-out rows must never influence results on valid rows;
 the attention and pooling ops enforce that via the mask.
 
-An :class:`ItemTable` holds items as arrays in ascending-id order (ids,
-features, categories), so an id's row is found by binary search. The
-catalog and the retrieval index are both item tables.
+An :class:`ItemTable` holds items as read-only arrays in ascending-id order
+(ids, features, categories), so an id's row is found by binary search. The
+catalog and the retrieval index are both item tables, and an index over a
+whole catalog shares the catalog's arrays.
 """
 
 from __future__ import annotations
@@ -88,8 +89,10 @@ def sort_items(ids, features, categories, extra=None):
     """Item arrays in ascending-id order: int64 ids, float64 (N, D) features,
     int64 categories and an optional int64 per-item `extra` column.
 
-    Raises ValueError when there are no items, the arrays do not align or an
-    id repeats.
+    The arrays are read-only. Input already in that order, type and layout
+    is returned as read-only views of the caller's arrays, which stay
+    writable. Raises ValueError when there are no items, the arrays do not
+    align or an id repeats.
     """
     ids = np.asarray(ids, dtype=np.int64)
     features = np.ascontiguousarray(features, dtype=np.float64)
@@ -107,12 +110,18 @@ def sort_items(ids, features, categories, extra=None):
         repeated = ids[1:][ids[1:] == ids[:-1]]
         if len(repeated):
             raise ValueError(f"duplicate item id {repeated[0]}")
-    return ids, features, categories, extra
+    return tuple(None if a is None else _read_only(a) for a in (ids, features, categories, extra))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 class ItemTable:
-    """Lookups by item id into the id-sorted ``ids``, ``features`` and
-    ``categories`` arrays that :func:`sort_items` gives."""
+    """Lookups by item id into the id-sorted, read-only ``ids``, ``features``
+    and ``categories`` arrays that :func:`sort_items` gives."""
 
     ids: np.ndarray
     features: np.ndarray
@@ -133,9 +142,6 @@ class ItemTable:
         if not found.all():
             raise KeyError(int(np.extract(~found, item_ids)[0]))
         return rows
-
-    def feature_of(self, item_id: int) -> np.ndarray:
-        return self.features[self.rows_of(item_id)]
 
     def features_of(self, item_ids) -> np.ndarray:
         return self.features[self.rows_of(item_ids)]

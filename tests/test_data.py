@@ -23,7 +23,7 @@ from setcomplete.data import (
     write_catalog_jsonl,
     write_jsonl,
 )
-from setcomplete.retrieval import RetrievalIndex
+from setcomplete.retrieval import AnnConfig, RetrievalIndex, build_index
 from setcomplete.sets import FeatureSet
 
 SMALL = GenConfig(categories=5, styles=3, catalog_size=120, outfits=200, dim=8, min_size=3, max_size=5, seed=4)
@@ -359,21 +359,53 @@ def test_catalog_and_index_share_one_id_sorted_table(tmp_path_factory, ids, seed
         assert table.ids[table.rows_of(asked)].tolist() == asked
         assert np.array_equal(table.features_of(asked).reshape(-1, 3), np.array([oracle[i][0] for i in asked]).reshape(-1, 3))
         assert table.categories_of(asked).tolist() == [oracle[i][1] for i in asked]
-        assert np.array_equal(table.feature_of(ids[0]), oracle[ids[0]][0])
+        assert np.array_equal(table.features_of(ids[0]), oracle[ids[0]][0])
         unknown = data.draw(st.integers(-(2**63), 2**63 - 1).filter(lambda i: i not in oracle))
         for lookup in (table.rows_of, table.features_of, table.categories_of):
             with pytest.raises(KeyError) as err:
                 lookup(asked + [unknown])
             assert err.value.args == (unknown,)
         with pytest.raises(KeyError) as err:
-            table.feature_of(unknown)
+            table.features_of(unknown)
         assert err.value.args == (unknown,)
     kept = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=10))
-    part = catalog.subset(kept)
+    part = build_index(catalog, item_ids=kept)
     assert part.ids.tolist() == sorted(set(kept))
     assert [int(c) for c in part.categories] == [oracle[i][1] for i in sorted(set(kept))]
-    assert [int(s) for s in part.styles] == [oracle[i][2] for i in sorted(set(kept))]
     assert np.array_equal(part.features, np.array([oracle[i][0] for i in sorted(set(kept))]))
+
+    # a whole-catalog index shares the catalog's columns; every column is read-only
+    ann = AnnConfig(clusters=min(3, len(ids)), probes=1, iters=2)
+    whole = build_index(catalog, ann_config=ann)
+    for name in ("ids", "features", "categories"):
+        assert np.shares_memory(getattr(whole, name), getattr(catalog, name)), name
+    path = tmp_path_factory.mktemp("table") / "index.bin"
+    whole.save(path)
+    loaded = RetrievalIndex.load(path)
+    for column in (catalog.features, catalog.ids, index.features, index.ids, whole.features, part.features,
+                   loaded.ids, loaded.features, loaded.categories):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    # the caller's arrays stay writable, and id-sorted ones are shared, not copied
+    assert features.flags.writeable and categories.flags.writeable and styles.flags.writeable
+    order = np.argsort(ids)
+    columns = (np.array(ids)[order], features[order], categories[order])
+    shared = RetrievalIndex(*columns)
+    for given_column, column in zip(columns, (shared.ids, shared.features, shared.categories)):
+        assert given_column.flags.writeable and np.shares_memory(given_column, column)
+
+    # searches over shared or gathered rows equal those over explicit copies of the rows
+    query, k = rng.standard_normal(3), data.draw(st.integers(1, len(ids)))
+    category = int(data.draw(st.sampled_from(categories.tolist())))
+    copies = RetrievalIndex(catalog.ids.copy(), catalog.features.copy(), catalog.categories.copy(), ann=ann)
+    for mode in ("exact", "approx"):
+        for category_filter in (None, category):
+            assert whole.query_knn(query, k, category_filter, mode) == copies.query_knn(query, k, category_filter, mode)
+    kept_ids = sorted(set(kept))
+    part_copies = RetrievalIndex(kept_ids, np.array([oracle[i][0] for i in kept_ids]), [oracle[i][1] for i in kept_ids])
+    kept_category = oracle[kept_ids[0]][1]
+    assert part.query_knn(query, k) == part_copies.query_knn(query, k)
+    assert part.query_knn(query, k, kept_category) == part_copies.query_knn(query, k, kept_category)
 
     repeated = ids + [data.draw(st.sampled_from(ids))]
     with pytest.raises(ValueError, match="duplicate item id"):

@@ -140,7 +140,7 @@ def test_top1_ids_equals_query_knn_when_ids_are_given_unsorted():
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     index = RetrievalIndex(np.array([9, 5, 3]), feats, np.array([0, 1, 0]))
     assert index.ids.tolist() == [3, 5, 9]
-    assert index.feature_of(5).tolist() == [0.0, 1.0] and index.categories.tolist() == [0, 1, 0]
+    assert index.features_of(5).tolist() == [0.0, 1.0] and index.categories.tolist() == [0, 1, 0]
     queries = np.array([[1.0, 0.0], [0.6, 0.8]])
     expected = [index.query_knn(q, k=1)[0][0] for q in queries]
     assert expected == [3, 5]

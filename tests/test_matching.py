@@ -82,7 +82,7 @@ def test_pretraining_learns_style_coherence(tiny_data, tiny_scorer):
         fake_rows = []
         for c in cats:
             pool = catalog.by_category[int(c)]
-            fake_rows.append(catalog.feature_of(int(rng.choice(pool))))
+            fake_rows.append(catalog.features_of(int(rng.choice(pool))))
         y_fake = FeatureSet(np.array(fake_rows))
         margins.append(match_score(x, y_true, scorer) - match_score(x, y_fake, scorer))
     assert np.mean(margins) > 0.0

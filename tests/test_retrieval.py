@@ -154,10 +154,10 @@ def test_feature_of_unknown_id_raises_key_error(rng):
     index = build_index(make_catalog(rng, n=50))
     for missing in (-1, 50, 10**9):
         with pytest.raises(KeyError):
-            index.feature_of(missing)
+            index.features_of(missing)
         with pytest.raises(KeyError):
             index.features_of([3, missing])
-    assert np.array_equal(index.feature_of(49), index.features[49])
+    assert np.array_equal(index.features_of(49), index.features[49])
     assert index.features_of([]).shape == (0, 8)
 
 
