@@ -164,11 +164,10 @@ def cmd_train_cst(args) -> int:
             catalog, outfits, scorer, config,
             log=lambda row: log.info("epoch %s total %.4f val_recall %.3f", row["epoch"], row["total"], row["val_recall"]),
         )
-        best_epoch = int(np.argmax([r["val_recall"] for r in history])) if history else -1
-        save_cst_checkpoint(out_dir / ckpt_name, params, extra={"best_epoch": best_epoch, "seed": config.seed})
+        last = history[-1]
+        save_cst_checkpoint(out_dir / ckpt_name, params, extra={"best_epoch": last["best_epoch"], "seed": config.seed})
         write_csv(out_dir / "train_log.csv", history, LOG_COLUMNS)
-        last = history[-1] if history else {}
-        print(f"trained {config.variant}: val recall {last.get('val_recall', 0.0):.3f} -> {out_dir / ckpt_name}")
+        print(f"trained {config.variant}: val recall {last['val_recall']:.3f} -> {out_dir / ckpt_name}")
     return 0
 
 
@@ -256,6 +255,8 @@ def cmd_complete(args) -> int:
     query_catalog, query_outfits = read_jsonl(args.query)
     if len(query_outfits) != 1:
         raise ValueError("the query file must hold exactly one outfit line")
+    if query_catalog is None:
+        raise ValueError(f"{args.query}: the query outfit has no items")
     params, _ = load_cst_checkpoint(args.checkpoint)
     if args.index:
         index = RetrievalIndex.load(args.index)

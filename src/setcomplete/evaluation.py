@@ -369,7 +369,6 @@ def complexity_calc(inputs: ComplexityInputs, method: str) -> float:
 class MetricsReport:
     seed: int
     variants: dict[str, dict] = field(default_factory=dict)
-    timing: list[dict] = field(default_factory=list)
 
     def csv_rows(self) -> list[dict]:
         rows = []
@@ -381,17 +380,11 @@ class MetricsReport:
                 else:
                     n, val = "", value
                 rows.append({"variant": variant, "metric": metric, "value": val, "n": n, "seed": self.seed})
-        for row in self.timing:
-            rows.append({
-                "variant": row.get("variant", row["model"]),
-                "metric": f"median_seconds_m{row['m']}_n{row['index_size']}",
-                "value": row["median_seconds"], "n": row["repeats"], "seed": self.seed,
-            })
         return rows
 
     def save(self, out_dir: str | Path, stem: str = "metrics") -> tuple[Path, Path]:
         json_path = Path(out_dir) / f"{stem}.json"
         csv_path = Path(out_dir) / f"{stem}.csv"
-        write_json(json_path, {"seed": self.seed, "variants": self.variants, "timing": self.timing})
+        write_json(json_path, {"seed": self.seed, "variants": self.variants})
         write_csv(csv_path, self.csv_rows(), ("variant", "metric", "value", "n", "seed"))
         return json_path, csv_path

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .sets import FeatureSet
+from .sets import FeatureSet, pad_stack
 
 
 @dataclass
@@ -91,20 +91,16 @@ def _check_pair(queries: FeatureSet, keyvalues: FeatureSet, params: AttentionPar
         raise ValueError("query and keyvalue feature dimensions differ")
     if queries.dim != params.dim:
         raise ValueError("feature dimension does not match params")
-    if queries.cardinality == 0:
-        raise ValueError("empty query set")
-    if keyvalues.cardinality == 0:
-        raise ValueError("keyvalue set has no valid rows")
 
 
 def mab(queries: FeatureSet, keyvalues: FeatureSet, params: AttentionParams) -> FeatureSet:
     """Queries attend to key/values; one attention + feed-forward block."""
     _check_pair(queries, keyvalues, params)
-    q = ad.const(queries.features[None])
-    kv = ad.const(keyvalues.features[None])
+    q, _ = pad_stack([queries.features])
+    kv, kv_mask = pad_stack([keyvalues.features])
     with ad.inference():
-        out = mab_graph(q, kv, keyvalues.mask[None], params)
-    return FeatureSet(out.values[0], queries.mask.copy(), queries.element_ids)
+        out = mab_graph(ad.const(q), ad.const(kv), kv_mask, params)
+    return FeatureSet(out.values[0], element_ids=queries.element_ids)
 
 
 def sab(x: FeatureSet, params: AttentionParams) -> FeatureSet:

@@ -40,13 +40,9 @@ class LossConfig:
 
 def chamfer(x: FeatureSet, y: FeatureSet) -> float:
     """Symmetric sum of nearest-neighbor squared Euclidean distances."""
-    a, b = x.valid_rows(), y.valid_rows()
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("chamfer requires nonempty sets")
-    node = ad.chamfer_cost(
-        ad.const(a[None]), ad.const(b[None]),
-        np.ones((1, a.shape[0])), np.ones((1, b.shape[0])), np.ones(1),
-    )
+    a, mask_a = pad_stack([x.features])
+    b, mask_b = pad_stack([y.features])
+    node = ad.chamfer_cost(ad.const(a), ad.const(b), mask_a, mask_b, np.ones(1))
     return float(node.values)
 
 
@@ -80,8 +76,6 @@ def ce_inbatch(yhat: FeatureSet, ytrue: FeatureSet, universe: FeatureSet, config
     """Mean negative log-probability of each true element among the universe."""
     config = config or LossConfig()
     m = yhat.features.shape[0]
-    if m == 0:
-        raise ValueError("empty prediction set")
     if m != ytrue.features.shape[0]:
         raise ValueError("prediction and target cardinalities differ")
     labels = _label_indices(ytrue, universe)
@@ -117,14 +111,10 @@ def sm_graph(
 
 def sm_reg(yhat: FeatureSet, x: FeatureSet, ytrue: FeatureSet, scorer: MatchParams) -> float:
     """Penalty that is large when the completion under-scores the truth."""
-    if min(yhat.cardinality, x.cardinality, ytrue.cardinality) == 0:
-        raise ValueError("cannot score an empty set")
-    node = sm_graph(
-        scorer,
-        x.features[None], x.mask[None],
-        ad.const(yhat.features[None]), yhat.mask[None],
-        ytrue.features[None], ytrue.mask[None],
-    )
+    x_pad, x_mask = pad_stack([x.features])
+    y_pad, y_mask = pad_stack([yhat.features])
+    t_pad, t_mask = pad_stack([ytrue.features])
+    node = sm_graph(scorer, x_pad, x_mask, ad.const(y_pad), y_mask, t_pad, t_mask)
     return float(node.values)
 
 

@@ -113,12 +113,12 @@ def match_graph(params: MatchParams, xa, mask_a: np.ndarray, xb, mask_b: np.ndar
 
 def match_score(x: FeatureSet, y: FeatureSet, params: MatchParams) -> float:
     """Symmetric compatibility score of two sets."""
-    if x.cardinality == 0 or y.cardinality == 0:
-        raise ValueError("cannot score an empty set")
     if x.dim != params.config.dim or y.dim != params.config.dim:
         raise ValueError("feature dimension does not match the scorer")
+    xa, mask_a = pad_stack([x.features])
+    xb, mask_b = pad_stack([y.features])
     with ad.inference():
-        out = match_graph(params, x.features[None], x.mask[None], y.features[None], y.mask[None])
+        out = match_graph(params, xa, mask_a, xb, mask_b)
     return float(out.values[0])
 
 

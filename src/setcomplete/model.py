@@ -186,14 +186,12 @@ def cst_forward(x: FeatureSet, z: FeatureSet, params: CSTParams) -> FeatureSet:
         raise ValueError("query feature dimension does not match the model")
     if z.dim != params.config.dim:
         raise ValueError("condition feature dimension does not match the model")
-    if x.cardinality == 0:
-        raise ValueError("empty query set")
-    if z.cardinality == 0:
-        raise ValueError("empty condition set")
+    x_pad, x_mask = pad_stack([x.features])
+    z_pad, z_mask = pad_stack([z.features])
     with ad.inference():
-        out = cst_graph(params, x.features[None], x.mask[None], ad.const(z.features[None]), z.mask[None])
+        out = cst_graph(params, x_pad, x_mask, ad.const(z_pad), z_mask)
     _FORWARD_COUNT["n"] += 1
-    return FeatureSet(out.values[0], z.mask.copy(), z.element_ids)
+    return FeatureSet(out.values[0], element_ids=z.element_ids)
 
 
 def complete_batch(
@@ -213,7 +211,7 @@ def complete_batch(
         raise ValueError("labels must be a nonempty 1-D list of category ids")
     if any(x.dim != params.config.dim for x in xs):
         raise ValueError("query feature dimension does not match the model")
-    x_pad, x_mask = pad_stack([x.features for x in xs], masks=[x.mask for x in xs])
+    x_pad, x_mask = pad_stack([x.features for x in xs])
     with ad.inference():
         z0, z_mask = slots_graph(params, labels, max(lab.size for lab in labels), slot_seed)
         out = cst_graph(params, x_pad, x_mask, z0, z_mask).values
@@ -247,7 +245,7 @@ def st_encode(x: FeatureSet, label: int, params: CSTParams) -> np.ndarray:
     if params.variant != "st":
         raise ValueError("st_encode requires the sequential baseline variant")
     token = params.embedding.table[int(label)][None]
-    feats = np.concatenate([x.valid_rows(), token], axis=0)
+    feats = np.concatenate([x.features, token], axis=0)
     mask = np.ones(feats.shape[0], dtype=np.float64)
     with ad.inference():
         out = st_encode_graph(params, feats[None], mask[None])
@@ -260,7 +258,7 @@ def st_sequential_complete(x: FeatureSet, labels, params: CSTParams, index) -> l
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("labels must be nonempty")
-    current = x.valid_rows()
+    current = x.features
     chosen: list[int] = []
     for label in labels:
         working = FeatureSet(current)

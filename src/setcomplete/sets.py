@@ -1,9 +1,10 @@
-"""Sets of feature vectors with validity masks, and id-sorted item tables.
+"""Sets of feature vectors, and id-sorted item tables.
 
 A :class:`FeatureSet` is the unit of data every model op consumes: a
-``(cardinality, D)`` float64 matrix, a per-row validity mask and optional
-element ids. Masked-out rows must never influence results on valid rows;
-the attention and pooling ops enforce that via the mask.
+nonempty ``(cardinality, D)`` float64 matrix, one row per element, with
+optional element ids. Only padded batches carry masks: :func:`pad_stack`
+stacks sets of different sizes and marks the padding rows, which the
+attention and pooling ops then ignore.
 
 An :class:`ItemTable` holds items as read-only arrays in ascending-id order
 (ids, features, categories), so an id's row is found by binary search. The
@@ -20,23 +21,18 @@ import numpy as np
 
 @dataclass
 class FeatureSet:
-    """A set of D-dimensional feature vectors with per-row validity."""
+    """A nonempty set of D-dimensional feature vectors, one per row."""
 
     features: np.ndarray
-    mask: np.ndarray | None = None
-    element_ids: np.ndarray | None = None
+    element_ids: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2:
             raise ValueError("features must be a (cardinality, D) matrix")
         n = self.features.shape[0]
-        if self.mask is None:
-            self.mask = np.ones(n, dtype=np.float64)
-        else:
-            self.mask = np.asarray(self.mask, dtype=np.float64)
-            if self.mask.shape != (n,):
-                raise ValueError("mask must have one entry per row")
+        if n == 0:
+            raise ValueError("a set needs at least one element")
         if self.element_ids is not None:
             self.element_ids = np.asarray(self.element_ids, dtype=np.int64)
             if self.element_ids.shape != (n,):
@@ -44,27 +40,21 @@ class FeatureSet:
 
     @property
     def cardinality(self) -> int:
-        return int(self.mask.sum())
+        return self.features.shape[0]
 
     @property
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def valid_rows(self) -> np.ndarray:
-        return self.features[self.mask > 0]
-
     def permuted(self, perm) -> "FeatureSet":
         perm = np.asarray(perm, dtype=np.int64)
         ids = None if self.element_ids is None else self.element_ids[perm]
-        return FeatureSet(self.features[perm], self.mask[perm], ids)
+        return FeatureSet(self.features[perm], element_ids=ids)
 
 
-def pad_stack(arrays: list[np.ndarray], masks: list[np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length (n_i, D) arrays into (B, N, D) plus a (B, N) mask.
-
-    Every row of an array is valid unless `masks` gives each array's own
-    row validity.
-    """
+def pad_stack(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack variable-length (n_i, D) arrays into (B, N, D) plus a (B, N)
+    mask that marks each array's rows with 1.0 and the padding with 0.0."""
     if not arrays:
         raise ValueError("nothing to stack")
     dim = arrays[0].shape[1]
@@ -75,7 +65,7 @@ def pad_stack(arrays: list[np.ndarray], masks: list[np.ndarray] | None = None) -
         if a.shape[1] != dim:
             raise ValueError("inconsistent feature dimension")
         out[i, : a.shape[0]] = a
-        mask[i, : a.shape[0]] = 1.0 if masks is None else masks[i]
+        mask[i, : a.shape[0]] = 1.0
     return out, mask
 
 

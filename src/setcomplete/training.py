@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import evaluation
 from .data import Catalog, Outfit, split_outfit, split_outfits, splitmix64, triples_for, items_in
 from .losses import LossConfig, batch_loss_graph
 from .matching import MatchConfig, MatchParams, init_match_params, pretrain_matching
@@ -22,7 +23,7 @@ from .model import CONDITIONED, REGULARIZED, CSTParams, ModelConfig, build_varia
 from .retrieval import build_index
 from .serialize import config_from_meta, load_arrays, reading, save_arrays
 
-LOG_COLUMNS = ("epoch", "ce", "chamfer", "sm", "total", "val_recall", "val_accuracy", "val_smd")
+LOG_COLUMNS = ("epoch", "ce", "chamfer", "sm", "total", "val_recall", "val_accuracy", "val_smd", "best_epoch")
 # Neighbors per output feature in the per-epoch validation recall.
 EVAL_K = 32
 
@@ -127,9 +128,12 @@ def train_cst(
     config: TrainConfig,
     log=None,
 ) -> tuple[CSTParams, list[dict]]:
-    """Train one variant; returns best-validation params and the epoch log."""
-    from . import evaluation
+    """Train one variant; returns best-validation params and the epoch log.
 
+    The kept epoch is the one with the best val recall, or with the lowest
+    total loss when there is no val split. Each log row names the epoch kept
+    so far as ``best_epoch``.
+    """
     config.validate()
     if config.variant in REGULARIZED:
         if scorer is None:
@@ -185,6 +189,7 @@ def train_cst(
             metric = -float(row["total"])
         if metric > best["metric"]:
             best = {"metric": metric, "values": {n: p.copy() for n, p in params.store.params.items()}, "epoch": epoch}
+        row["best_epoch"] = best["epoch"]
         history.append(row)
         if log:
             log(row)
@@ -202,8 +207,6 @@ def train_matching(
     log=None,
 ) -> tuple[MatchParams, list[dict], dict]:
     """Pretrain the scorer on the train split; report FINB on the val split."""
-    from . import evaluation
-
     config = config or MatchConfig()
     splits = split_outfits(outfits)
     train_outfits = [o for o in splits["train"] if len(o.item_ids) >= 2]

@@ -1,9 +1,13 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from setcomplete.cli import main
+from setcomplete.data import split_of
+from setcomplete.training import load_cst_checkpoint
 
 GEN_CONFIG = {
     "categories": 6, "styles": 4, "catalog_size": 300, "outfits": 400,
@@ -136,6 +140,33 @@ def test_complete_rejects_multi_outfit_query(pipeline, tmp_path, capsys):
     assert main(["complete", "--data", data, "--query", str(query),
                  "--labels", "1", "--checkpoint", checkpoint]) == 1
     assert "exactly one outfit" in capsys.readouterr().err
+
+
+def test_complete_rejects_an_item_less_query_naming_the_file(pipeline, tmp_path, capsys):
+    root, data, scorer, checkpoint = pipeline
+    query = tmp_path / "query.jsonl"
+    query.write_text('{"outfit_id": 1, "likes": 0, "items": []}\n')
+    assert main(["complete", "--data", data, "--query", str(query),
+                 "--labels", "1", "--checkpoint", checkpoint]) == 1
+    err = capsys.readouterr().err
+    assert str(query) in err and "NoneType" not in err
+
+
+def test_train_cst_checkpoint_names_the_epoch_it_keeps(pipeline, tmp_path):
+    root, data, scorer, checkpoint = pipeline
+    lines = Path(data).read_text().splitlines()
+    train_only = tmp_path / "train_only.jsonl"  # no val split: the lowest total is kept
+    train_only.write_text("\n".join([ln for ln in lines if split_of(json.loads(ln)["outfit_id"]) == "train"][:64]))
+    train_cfg = write_config(tmp_path, "train.json", {**TRAIN_CONFIG, "epochs": 4})
+    out = tmp_path / "cx"
+    assert main(["train-cst", "--config", train_cfg, "--variant", "Cx", "--data", str(train_only),
+                 "--out", str(out)]) == 0
+    for path, column, pick in ((Path(checkpoint), "val_recall", np.argmax), (out / "cst_Cx.ckpt", "total", np.argmin)):
+        with open(path.parent / "train_log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        want = int(pick([float(r[column]) for r in rows]))
+        assert int(rows[-1]["best_epoch"]) == want
+        assert load_cst_checkpoint(path)[1]["extra"]["best_epoch"] == want
 
 
 def test_st_baseline_trains_and_evaluates(pipeline, capsys):

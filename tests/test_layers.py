@@ -15,13 +15,13 @@ def random_set(rng, n, dim=8):
     return FeatureSet(rng.standard_normal((n, dim)))
 
 
-def test_block_shapes_and_mask_passthrough(rng):
+def test_block_shapes_and_element_ids_passthrough(rng):
     params = make_params()
-    q = random_set(rng, 3)
+    q = FeatureSet(rng.standard_normal((3, 8)), element_ids=[7, 3, 9])
     kv = random_set(rng, 5)
     out = mab(q, kv, params)
     assert out.features.shape == (3, 8)
-    assert np.array_equal(out.mask, q.mask)
+    assert np.array_equal(out.element_ids, q.element_ids)
 
 
 def test_query_permutation_equivariance():
@@ -65,8 +65,8 @@ def test_masked_key_row_is_ignored(rng):
     feats = rng.standard_normal((4, 8))
     base = mab(q, FeatureSet(feats), params).features
     padded = np.vstack([feats, 1e6 * np.ones((1, 8))])
-    mask = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
-    out = mab(q, FeatureSet(padded, mask), params).features
+    mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0]])
+    out = _block_output(params, q.features[None], padded[None], mask)[0]
     assert np.max(np.abs(out - base)) < 1e-12
 
 
@@ -136,7 +136,23 @@ def test_rejects_mismatched_and_empty_inputs(rng):
     with pytest.raises(ValueError):
         mab(q, FeatureSet(rng.standard_normal((3, 4))), params)
     with pytest.raises(ValueError):
-        mab(q, FeatureSet(np.zeros((2, 8)), np.zeros(2)), params)
+        mab(q, FeatureSet(np.zeros((0, 8))), params)
+    with pytest.raises(ValueError):
+        mab(FeatureSet(np.zeros((0, 8))), q, params)
+
+
+def test_a_set_without_rows_is_rejected_on_construction():
+    with pytest.raises(ValueError, match="at least one element"):
+        FeatureSet(np.zeros((0, 8)))
+    with pytest.raises(ValueError, match="at least one element"):
+        FeatureSet(np.zeros((0, 8)), element_ids=np.zeros(0, dtype=np.int64))
+
+
+def test_element_ids_are_keyword_only(rng):
+    x = rng.standard_normal((2, 8))
+    with pytest.raises(TypeError):
+        FeatureSet(x, np.ones(2))
+    assert np.array_equal(FeatureSet(x, element_ids=[4, 5]).element_ids, [4, 5])
 
 
 def _block_output(params, q, kv, mask):

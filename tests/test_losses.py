@@ -9,7 +9,7 @@ from setcomplete.data import SplitTriple
 from setcomplete.losses import LossConfig, batch_loss_graph, ce_inbatch, chamfer, sm_reg, total_loss
 from setcomplete.matching import MatchConfig, init_match_params, match_score
 from setcomplete.model import ModelConfig, build_variant, embed_conditions
-from setcomplete.sets import FeatureSet
+from setcomplete.sets import FeatureSet, pad_stack
 
 
 def random_set(rng, n, dim=4):
@@ -52,9 +52,8 @@ def test_chamfer_is_symmetric(rng):
 
 def test_chamfer_rejects_empty(rng):
     x = random_set(rng, 2)
-    empty = FeatureSet(np.zeros((1, 4)), np.zeros(1))
     with pytest.raises(ValueError):
-        chamfer(x, empty)
+        chamfer(x, FeatureSet(np.zeros((0, 4))))
 
 
 @settings(max_examples=30, deadline=None)
@@ -172,9 +171,9 @@ def test_sm_gap_derivative_sign(rng):
 
     node = sm_graph(
         scorer,
-        x.features[None], x.mask[None],
+        *pad_stack([x.features]),
         ad.reshape(ad.param(store, "yhat"), (1, 2, 4)), np.ones((1, 2)),
-        ytrue.features[None], ytrue.mask[None],
+        *pad_stack([ytrue.features]),
     )
     _, grads = ad.eval_and_grad(ad.Graph(node), store)
     g = grads["yhat"]

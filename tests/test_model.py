@@ -19,7 +19,7 @@ from setcomplete.model import (
     st_sequential_complete,
 )
 from setcomplete.retrieval import build_index
-from setcomplete.sets import FeatureSet
+from setcomplete.sets import FeatureSet, pad_stack
 
 CONFIG = ModelConfig(dim=16, heads=4, slot_layers=2, sab_layers=1, categories=6)
 
@@ -128,13 +128,12 @@ def test_st_rejects_dense_forward(rng):
 
 def test_cst_rejects_empty_inputs(rng):
     params = build_variant("CR", CONFIG, seed=6)
-    empty = FeatureSet(np.zeros((2, 16)), np.zeros(2))
     x = random_set(rng, 3)
     z = embed_conditions([0, 1], params.embedding)
     with pytest.raises(ValueError):
-        cst_forward(empty, z, params)
+        cst_forward(FeatureSet(np.zeros((0, 16))), z, params)
     with pytest.raises(ValueError):
-        cst_forward(x, FeatureSet(np.zeros((2, 16)), np.zeros(2)), params)
+        cst_forward(x, FeatureSet(np.zeros((0, 16))), params)
 
 
 def test_st_encoder_is_order_insensitive(rng):
@@ -171,7 +170,7 @@ def test_complete_features_equals_tape_forward_and_batch_of_one(tag):
         labels = np.array(rng.integers(0, 6, size=m))
         got = complete_features(x, labels, params, slot_seed=m).features
         z0, z_mask = slots_graph(params, [labels], m, slot_seed=m)
-        taped = cst_graph(params, x.features[None], x.mask[None], z0, z_mask)
+        taped = cst_graph(params, *pad_stack([x.features]), z0, z_mask)
         assert taped.parents is not None
         assert np.array_equal(got, taped.values[0])
         assert np.array_equal(got, complete_batch([x], [labels], params, slot_seed=m)[0])

@@ -124,11 +124,9 @@ def test_text_writers_keep_the_bytes_of_the_writers_they_replace(tmp_path):
     write_json(tmp_path / "manifest.json", manifest)
     assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == _old_json(manifest)
 
-    report = MetricsReport(seed=3, variants={"CR": {"accuracy": 0.91, "smd": {"mean": -0.2, "n": 50}}},
-                           timing=[{"model": "cst", "variant": "CR", "m": 1, "index_size": 10,
-                                    "median_seconds": 1e-3, "forward_passes": 1, "repeats": 5}])
+    report = MetricsReport(seed=3, variants={"CR": {"accuracy": 0.91, "smd": {"mean": -0.2, "n": 50}}})
     json_path, csv_path = report.save(tmp_path)
-    report_dict = {"seed": report.seed, "variants": report.variants, "timing": report.timing}
+    report_dict = {"seed": report.seed, "variants": report.variants}
     assert json_path.read_text(encoding="utf-8") == _old_json(report_dict)
     _old_csv(tmp_path / "old_metrics.csv", ("variant", "metric", "value", "n", "seed"), report.csv_rows())
     assert csv_path.read_bytes() == (tmp_path / "old_metrics.csv").read_bytes()

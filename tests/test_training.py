@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from setcomplete import autodiff as ad
-from setcomplete.data import split_outfits
+from setcomplete import evaluation
+from setcomplete.data import items_in, split_outfits, triples_for
 from setcomplete.model import build_variant
+from setcomplete.retrieval import build_index
 from setcomplete.serialize import load_arrays, save_arrays, write_csv
 from setcomplete.training import (
+    EVAL_K,
     LOG_COLUMNS,
     TrainConfig,
     load_cst_checkpoint,
@@ -170,8 +173,23 @@ def test_checkpoint_kind_mismatch_rejected(tmp_path, tiny_scorer):
 def test_best_epoch_weights_are_kept(tiny_data, tiny_scorer):
     catalog, outfits = tiny_data
     params, history = train_cst(catalog, outfits, tiny_scorer, tiny_config(variant="CR", epochs=3))
-    best = max(history, key=lambda r: r["val_recall"])
-    assert best["val_recall"] == max(r["val_recall"] for r in history)
+    recalls = [r["val_recall"] for r in history]
+    assert [r["best_epoch"] for r in history] == [int(np.argmax(recalls[: e + 1])) for e in range(3)]
+    val = [o for o in split_outfits(outfits)["val"] if len(o.item_ids) >= 2]
+    kept = evaluation.quick_val_metrics(params, triples_for(val, catalog, seed=0),
+                                        build_index(catalog, item_ids=items_in(val)), tiny_scorer, k=EVAL_K)
+    assert kept["val_recall"] == recalls[history[-1]["best_epoch"]]
+
+
+def test_without_a_val_split_the_lowest_total_epoch_is_kept(tiny_data):
+    catalog, outfits = tiny_data
+    train_only = split_outfits(outfits)["train"][:64]
+    params, history = train_cst(catalog, train_only, None, tiny_config(variant="Cx", epochs=4))
+    totals = [r["total"] for r in history]
+    assert [r["best_epoch"] for r in history] == [int(np.argmin(totals[: e + 1])) for e in range(4)]
+    best = history[-1]["best_epoch"]
+    again, _ = train_cst(catalog, train_only, None, tiny_config(variant="Cx", epochs=best + 1))
+    assert params.store.checksum() == again.store.checksum()
 
 
 @pytest.mark.parametrize("kind", ["cst", "match"])
