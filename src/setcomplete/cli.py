@@ -46,7 +46,6 @@ from .evaluation import (
     smd,
     target_histogram,
     timing_benchmark,
-    top1_ids,
 )
 from .matching import MatchConfig
 from .model import VARIANTS, build_variant, complete_batch, st_sequential_complete
@@ -265,6 +264,9 @@ def cmd_complete(args) -> int:
     labels = [int(v) for v in args.labels.split(",") if v.strip() != ""]
     if not labels:
         raise ValueError("provide at least one category label")
+    for label in labels:
+        if label not in index.categories:
+            raise ValueError(f"no indexed item has category {label}")
     x = FeatureSet(
         query_catalog.features_of(query_outfits[0].item_ids),
         element_ids=np.asarray(query_outfits[0].item_ids, dtype=np.int64),
@@ -273,7 +275,7 @@ def cmd_complete(args) -> int:
         ids = st_sequential_complete(x, labels, params, index)
     else:
         (yhat,) = complete_batch([x], [labels], params, args.seed or 0)
-        ids = [int(i) for i in top1_ids(index, yhat)]
+        ids = [index.query_knn(row, 1, category_filter=label)[0][0] for row, label in zip(yhat, labels)]
     print(",".join(str(i) for i in ids))
     return 0
 

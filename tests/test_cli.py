@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from setcomplete.cli import main
-from setcomplete.data import split_of
-from setcomplete.training import load_cst_checkpoint
+from setcomplete.data import read_jsonl, split_of
+from setcomplete.model import ModelConfig, build_variant
+from setcomplete.retrieval import build_index
+from setcomplete.training import load_cst_checkpoint, save_cst_checkpoint
 
 GEN_CONFIG = {
     "categories": 6, "styles": 4, "catalog_size": 300, "outfits": 400,
@@ -130,6 +132,34 @@ def test_complete_prints_requested_ids(pipeline, tmp_path, capsys):
     printed = capsys.readouterr().out.strip()
     ids = [int(v) for v in printed.split(",")]
     assert len(ids) == 2
+
+
+def test_one_shot_complete_retrieves_each_item_within_its_label(pipeline, tmp_path, capsys):
+    # an untrained model's rows point anywhere: the category filter alone keeps each item in its label
+    root, data, scorer, checkpoint = pipeline
+    untrained = tmp_path / "untrained.ckpt"
+    save_cst_checkpoint(untrained, build_variant("CR", ModelConfig(**load_cst_checkpoint(checkpoint)[1]["config"])))
+    catalog, _ = read_jsonl(data)
+    query = tmp_path / "query.jsonl"
+    query.write_text(Path(data).read_text().splitlines()[0] + "\n")
+    labels = [0, 1, 2, 3, 4, 5, 1]
+    assert main(["complete", "--data", data, "--query", str(query),
+                 "--labels", ",".join(map(str, labels)), "--checkpoint", str(untrained)]) == 0
+    ids = [int(v) for v in capsys.readouterr().out.strip().split(",")]
+    assert catalog.categories_of(ids).tolist() == labels
+
+
+def test_complete_names_a_label_with_no_indexed_item(pipeline, tmp_path, capsys):
+    root, data, scorer, checkpoint = pipeline
+    catalog, _ = read_jsonl(data)
+    index = tmp_path / "no5.idx"
+    build_index(catalog, item_ids=catalog.ids[catalog.categories != 5]).save(index)
+    query = tmp_path / "query.jsonl"
+    query.write_text(Path(data).read_text().splitlines()[0] + "\n")
+    assert main(["complete", "--data", data, "--query", str(query), "--labels", "1,5",
+                 "--checkpoint", checkpoint, "--index", str(index)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no indexed item has category 5\n"
 
 
 def test_complete_rejects_multi_outfit_query(pipeline, tmp_path, capsys):

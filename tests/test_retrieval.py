@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from setcomplete import kernels, retrieval
 from setcomplete.data import Catalog, GenConfig, generate_dataset
 from setcomplete.serialize import load_arrays, save_arrays
-from setcomplete.retrieval import GROUP_ROWS, ROWWISE_MAX_ROWS, AnnConfig, RetrievalIndex, build_index
+from setcomplete.retrieval import (
+    GROUP_ROWS, MAX_POINTS_PER_CENTROID, ROWWISE_MAX_ROWS, AnnConfig, RetrievalIndex, build_index,
+)
 from setcomplete.sets import l2_rows
 
 
@@ -427,3 +429,85 @@ def test_rescoring_padded_row_groups_reproduces_the_full_scan(dim):
                 bad = int(np.sum(got.view(np.uint64) != full[ids].view(np.uint64)))
                 assert bad == 0, (f"{blas['name']} {blas['version']}: rescoring rows padded to groups of {GROUP_ROWS} "
                                   f"differs from features @ q on {bad} of {len(ids)} rows (N={n}, D={dim})")
+
+
+def test_rescoring_a_tail_row_with_a_non_finite_query_raises_no_warning():
+    # the last N % 4 rows are rescored by a second product; inf * 0 there must
+    # be as quiet as in the main one
+    feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [0.8, 0.6], [0.0, 1.0]])
+    index = RetrievalIndex(np.arange(5), feats, np.zeros(5, dtype=np.int64))
+    query = np.array([np.inf, 1.0])
+    with np.errstate(invalid="ignore"):
+        want = scan_reference(index, query, 2)
+    assert_same_hits(index.query_knn(query, 2), want)
+
+
+def kmeans_reference(features, config):
+    """k-means as every index was built before the sample cap: a mask per cluster and update."""
+    rng = np.random.default_rng(config.seed)
+    start = rng.choice(features.shape[0], size=config.clusters, replace=False)
+    centroids = features[np.sort(start)].copy()
+    labels = kernels.assign_nearest(features, centroids)
+    for _ in range(config.iters):
+        for c in range(config.clusters):
+            members = features[labels == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+        centroids = l2_rows(centroids)
+        labels = kernels.assign_nearest(features, centroids)
+    return centroids, labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 700),
+    distinct=st.integers(1, 700),
+    clusters=st.integers(1, 12),
+    iters=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=200, distinct=4, clusters=6, iters=4, seed=0)  # 4 distinct rows leave 2 of 6 clusters empty
+def test_kmeans_at_or_below_the_cap_equals_the_mask_loop_bitwise(n, distinct, clusters, iters, seed):
+    # few distinct rows repeat, so centroids tie and clusters can be left empty
+    rng = np.random.default_rng(seed)
+    clusters = min(clusters, n)
+    n = min(n, MAX_POINTS_PER_CENTROID * clusters)
+    pool = l2_rows(rng.standard_normal((min(distinct, n), 8)))
+    feats = pool[rng.integers(0, len(pool), size=n)]
+    config = AnnConfig(clusters=clusters, iters=iters, seed=int(seed % 1000))
+    got, want = retrieval._kmeans(feats, config), kmeans_reference(feats, config)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_kmeans_above_the_cap_trains_on_a_sample_and_labels_every_row(rng, tmp_path, monkeypatch):
+    catalog = make_catalog(rng, n=600, dim=8, categories=3)  # the cap is 512 rows at 2 clusters
+    ann = AnnConfig(clusters=2, probes=2, iters=5, seed=4)
+    sizes, assign = [], kernels.assign_nearest
+
+    def counting_assign(feats, centroids):
+        sizes.append(len(feats))
+        return assign(feats, centroids)
+
+    monkeypatch.setattr(kernels, "assign_nearest", counting_assign)
+    index = build_index(catalog, ann)
+    assert sizes == [2 * MAX_POINTS_PER_CENTROID] * ann.iters + [600]
+    assert np.array_equal(index.assignments, assign(index.features, index.centroids))
+    index.save(tmp_path / "a.idx")
+    build_index(catalog, ann).save(tmp_path / "b.idx")
+    assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
+    for q in l2_rows(rng.standard_normal((20, 8))):  # probing every cluster is exact search
+        assert index.query_knn(q, 10, mode="approx") == index.query_knn(q, 10)
+        assert index.query_knn(q, 10, category_filter=1, mode="approx") == index.query_knn(q, 10, category_filter=1)
+
+
+def test_sampled_kmeans_keeps_approx_recall_over_50k_items():
+    # gate 05's queries and bound, at a size where k-means trains on a sample
+    catalog, _ = generate_dataset(GenConfig(catalog_size=50000, outfits=0, seed=0))
+    assert len(catalog) > MAX_POINTS_PER_CENTROID * AnnConfig().clusters
+    exact, approx = build_index(catalog), build_index(catalog, AnnConfig())
+    rng = np.random.default_rng(17)
+    rows = rng.integers(0, len(exact), size=200)
+    queries = l2_rows(exact.features[rows] + 0.1 * rng.standard_normal((200, exact.dim)))
+    recalls = [len({i for i, _ in exact.query_knn(q, 32)} & {i for i, _ in approx.query_knn(q, 32, mode="approx")}) / 32
+               for q in queries]
+    assert np.mean(recalls) >= 0.95
