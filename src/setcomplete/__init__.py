@@ -14,16 +14,16 @@ from .sets import FeatureSet
 from .layers import AttentionParams, init_attention_params, mab, sab, slot_attention_layer
 from .model import (
     CSTParams,
-    ConditionEmbedding,
     ModelConfig,
     build_variant,
     complete_features,
+    complete_ids,
     cst_forward,
     embed_conditions,
     st_sequential_complete,
 )
 from .matching import MatchConfig, MatchParams, match_score, pretrain_matching
-from .losses import LossConfig, ce_inbatch, chamfer, sm_reg, total_loss
+from .losses import LossConfig, ce_inbatch, chamfer, sm_reg
 from .data import (
     Catalog,
     GenConfig,
@@ -60,10 +60,10 @@ __all__ = [
     "sab",
     "slot_attention_layer",
     "CSTParams",
-    "ConditionEmbedding",
     "ModelConfig",
     "build_variant",
     "complete_features",
+    "complete_ids",
     "cst_forward",
     "embed_conditions",
     "st_sequential_complete",
@@ -75,7 +75,6 @@ __all__ = [
     "ce_inbatch",
     "chamfer",
     "sm_reg",
-    "total_loss",
     "Catalog",
     "GenConfig",
     "Outfit",

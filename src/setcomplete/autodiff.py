@@ -278,23 +278,6 @@ def reshape(a, shape) -> Tensor:
     return _op("reshape", (as_tensor(a),), tuple(shape))
 
 
-def _transpose_fwd(t):
-    return np.ascontiguousarray(t.parents[0].values.transpose(t.payload)), None
-
-
-def _transpose_bwd(t, g):
-    inv = np.argsort(np.asarray(t.payload))
-    return (np.ascontiguousarray(g.transpose(tuple(inv))),)
-
-
-_FORWARD["transpose"] = _transpose_fwd
-_BACKWARD["transpose"] = _transpose_bwd
-
-
-def transpose(a, axes) -> Tensor:
-    return _op("transpose", (as_tensor(a),), tuple(axes))
-
-
 def _concat_fwd(t):
     axis = t.payload
     return np.concatenate([p.values for p in t.parents], axis=axis), None
@@ -545,26 +528,14 @@ _FORWARD["mab"] = _mab_fwd
 _BACKWARD["mab"] = _mab_bwd
 
 
-def mab_weights(weights: dict) -> tuple[Tensor, ...]:
-    """The block's weight tensors in MAB_WEIGHTS order; `weights` must map
-    exactly those names."""
-    names = [name for name, _ in MAB_WEIGHTS]
-    if set(weights) != set(names):
-        raise ValueError(f"an attention block takes the weights {names}, got {sorted(weights)}")
-    return tuple(as_tensor(weights[name]) for name in names)
-
-
 def mab(q, kv, key_mask: np.ndarray, weights, heads: int) -> Tensor:
     """One attention block: (B, M, D) queries attend to (B, N, D) key/values.
 
     key_mask (B, N) marks valid kv rows with 1.0; masked rows get exactly zero
-    attention weight. `weights` maps each name in MAB_WEIGHTS to its tensor,
-    or is the tuple :func:`mab_weights` makes of such a map, which a caller
-    can build once and pass to every call.
+    attention weight. `weights` is a tuple of the block's weight tensors in
+    MAB_WEIGHTS order, which a caller can build once and pass to every call.
     """
-    if isinstance(weights, dict):
-        weights = mab_weights(weights)
-    elif len(weights) != len(MAB_WEIGHTS):
+    if len(weights) != len(MAB_WEIGHTS):
         raise ValueError(f"an attention block takes {len(MAB_WEIGHTS)} weights, got {len(weights)}")
     key_mask = np.asarray(key_mask, dtype=np.float64)
     if key_mask.min() > 0.0:

@@ -48,7 +48,7 @@ from .evaluation import (
     timing_benchmark,
 )
 from .matching import MatchConfig
-from .model import VARIANTS, build_variant, complete_batch, st_sequential_complete
+from .model import VARIANTS, build_variant, complete_ids
 from .retrieval import RetrievalIndex, build_index
 from .serialize import config_from_meta, reading, write_csv, write_json
 from .sets import FeatureSet
@@ -250,17 +250,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    catalog, outfits = _read_data(args.data)
+    if not (args.data or args.index):
+        raise ValueError("provide --data or --index")
     query_catalog, query_outfits = read_jsonl(args.query)
     if len(query_outfits) != 1:
         raise ValueError("the query file must hold exactly one outfit line")
     if query_catalog is None:
         raise ValueError(f"{args.query}: the query outfit has no items")
     params, _ = load_cst_checkpoint(args.checkpoint)
-    if args.index:
-        index = RetrievalIndex.load(args.index)
-    else:
-        index = build_index(catalog)
+    index = RetrievalIndex.load(args.index) if args.index else build_index(_read_data(args.data)[0])
     labels = [int(v) for v in args.labels.split(",") if v.strip() != ""]
     if not labels:
         raise ValueError("provide at least one category label")
@@ -271,11 +269,7 @@ def cmd_complete(args) -> int:
         query_catalog.features_of(query_outfits[0].item_ids),
         element_ids=np.asarray(query_outfits[0].item_ids, dtype=np.int64),
     )
-    if params.variant == "st":
-        ids = st_sequential_complete(x, labels, params, index)
-    else:
-        (yhat,) = complete_batch([x], [labels], params, args.seed or 0)
-        ids = [index.query_knn(row, 1, category_filter=label)[0][0] for row, label in zip(yhat, labels)]
+    ids = complete_ids(x, labels, params, index, args.seed or 0)
     print(",".join(str(i) for i in ids))
     return 0
 
@@ -335,11 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("complete", help="complete a query outfit for given labels")
-    p.add_argument("--data", required=True, help="outfits JSONL file providing the item database")
+    p.add_argument("--data", help="outfits JSONL file whose items are indexed (not read with --index)")
     p.add_argument("--query", required=True, help="JSONL file with exactly one query outfit")
     p.add_argument("--labels", required=True, help="comma-separated category ids to fill")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--index", help="prebuilt index file")
+    p.add_argument("--index", help="prebuilt index file (replaces --data)")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=cmd_complete)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .matching import MatchParams, category_matched_negative, match_scores
 from .model import (
     CSTParams,
     complete_batch,
+    complete_ids,
     get_forward_count,
     reset_forward_count,
     st_sequential_complete,
@@ -64,23 +66,21 @@ def output_features(
     return [index.features_of(st_sequential_complete(t.x, t.z, params, index)) for t in triples]
 
 
-def _predictions(model, triples: list[SplitTriple], index: RetrievalIndex | None, slot_seed: int = 0) -> list[np.ndarray]:
-    """Output features of a model (through `output_features`), a callable per triple, or precomputed."""
+def _predictions(model, triples: list[SplitTriple], index: RetrievalIndex | None) -> list[np.ndarray]:
+    """Output features of a model (through `output_features`), or precomputed ones, one array per triple."""
     if isinstance(model, CSTParams):
-        return output_features(model, triples, index, slot_seed)
-    if callable(model):
-        return [np.asarray(model(t), dtype=np.float64) for t in triples]
+        return output_features(model, triples, index)
     return [np.asarray(p, dtype=np.float64) for p in model]
 
 
 # -- retrieval metrics --------------------------------------------------------------
 
 
-def recall_at_k(model, triples: list[SplitTriple], index: RetrievalIndex, k: int = 32, slot_seed: int = 0) -> float:
+def recall_at_k(model, triples: list[SplitTriple], index: RetrievalIndex, k: int = 32) -> float:
     """Mean over triples of |retrieved-candidate union ∩ Y| / |Y|."""
     if not triples:
         raise ValueError("no evaluation triples")
-    preds = _predictions(model, triples, index, slot_seed)
+    preds = _predictions(model, triples, index)
     scores = []
     for t, yhat in zip(triples, preds):
         hit_ids = index.query_knn_batch(yhat, k)
@@ -109,11 +109,11 @@ def top1_ids(index: RetrievalIndex, queries: np.ndarray) -> np.ndarray:
     return index.ids[best]
 
 
-def category_accuracy(model, triples: list[SplitTriple], index: RetrievalIndex, slot_seed: int = 0) -> float:
+def category_accuracy(model, triples: list[SplitTriple], index: RetrievalIndex) -> float:
     """Share of elements whose top-1 retrieved item has the requested category."""
     if not triples:
         raise ValueError("no evaluation triples")
-    preds = _predictions(model, triples, index, slot_seed)
+    preds = _predictions(model, triples, index)
     hits, total = 0, 0
     for t, yhat in zip(triples, preds):
         hits += int(np.sum(index.categories_of(top1_ids(index, yhat)) == t.z))
@@ -124,7 +124,7 @@ def category_accuracy(model, triples: list[SplitTriple], index: RetrievalIndex, 
 # -- set-matching score difference ----------------------------------------------------
 
 
-def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: RetrievalIndex | None = None, slot_seed: int = 0) -> dict:
+def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: RetrievalIndex | None = None) -> dict:
     """Distribution of g(X, completion) - g(X, Y).
 
     With an index, completions are the retrieved top-1 item features (the
@@ -132,7 +132,7 @@ def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: Retrieval
     """
     if not triples:
         raise ValueError("no evaluation triples")
-    preds = _predictions(model, triples, index, slot_seed)
+    preds = _predictions(model, triples, index)
     if index is not None:
         preds = [index.features_of(top1_ids(index, y)) for y in preds]
     samples = []
@@ -182,7 +182,6 @@ def finb_eval(
     catalog: Catalog,
     seed: int = 0,
     selector: str = "scorer",
-    slot_seed: int = 0,
 ) -> dict:
     """Pick the true target among category-matched negatives.
 
@@ -215,7 +214,7 @@ def finb_eval(
     correct = 0
     if selector == "cst":
         triples = [u[0] for u in usable]
-        preds = _predictions(model_or_scorer, triples, None, slot_seed)
+        preds = _predictions(model_or_scorer, triples, None)
         for (triple, cands, pos), yhat in zip(usable, preds):
             sums = [float(np.sum(yhat * catalog.features_of(ids))) for ids in cands]
             correct += int(int(np.argmax(sums)) == pos)
@@ -268,9 +267,9 @@ def _item_histogram(items, top: int) -> dict:
     }
 
 
-def diversity_histogram(model, triples: list[SplitTriple], index: RetrievalIndex, top: int = 100, slot_seed: int = 0) -> dict:
+def diversity_histogram(model, triples: list[SplitTriple], index: RetrievalIndex, top: int = 100) -> dict:
     """Frequency of each retrieved item over all completions."""
-    preds = _predictions(model, triples, index, slot_seed)
+    preds = _predictions(model, triples, index)
     return _item_histogram((item for yhat in preds for item in top1_ids(index, yhat)), top)
 
 
@@ -291,25 +290,20 @@ def timing_benchmark(
 ) -> list[dict]:
     """Median completion time and forward-pass counts per (model, M, index).
 
-    A completion is one model inference plus top-1 retrieval per element
+    A completion is `complete_ids`, as `setcomplete complete` runs it: one
+    model inference plus each element's nearest item within its label
     (sequential baseline: one inference and one query per step). Each of the
     `repeats` passes times every setting once, so a burst of host load is
     spread over all settings instead of landing on one.
     """
     if repeats < 3:
         raise ValueError("need at least 3 repeats for a stable median")
-
-    def completion(params, labels, index):
-        if params.variant == "st":
-            return lambda: st_sequential_complete(x, labels, params, index)
-        return lambda: top1_ids(index, complete_batch([x], [labels], params, slot_seed=1)[0])
-
     settings = []
     for index in indexes:
         for name, params in models.items():
             for m in TIMING_M_VALUES:
                 labels = [int(labels_pool[i % len(labels_pool)]) for i in range(m)]
-                run = completion(params, labels, index)
+                run = partial(complete_ids, x, labels, params, index)
                 run()  # warmup pass
                 reset_forward_count()
                 run()

@@ -66,9 +66,10 @@ def _label_indices(ytrue: FeatureSet, universe: FeatureSet) -> np.ndarray:
     return labels
 
 
-def ce_graph(yhat: ad.Tensor, universe, labels, weights, temperature: float = 1.0) -> ad.Tensor:
-    """Weighted in-batch softmax cross-entropy over dot-product logits."""
-    logits = ad.scale(ad.matmul(yhat, ad.transpose(ad.as_tensor(universe), (1, 0))), 1.0 / temperature)
+def ce_graph(yhat: ad.Tensor, universe: np.ndarray, labels, weights, temperature: float = 1.0) -> ad.Tensor:
+    """Weighted in-batch softmax cross-entropy over dot-product logits
+    against the rows of the constant `universe`."""
+    logits = ad.scale(ad.matmul(yhat, ad.const(np.ascontiguousarray(universe.T))), 1.0 / temperature)
     return ad.cross_entropy(logits, labels, weights)
 
 
@@ -184,7 +185,7 @@ def _st_step_loss(params: CSTParams, triples: list, config: LossConfig, rng: np.
         steps.append(m)
     x_pad, x_mask = pad_stack(inputs)
     B, dim = len(triples), params.config.dim
-    token_rows = ad.reshape(ad.gather_rows(params.embedding.tensor(), np.array(tokens, dtype=np.int64)), (B, 1, dim))
+    token_rows = ad.reshape(ad.gather_rows(ad.param(params.store, "cond_table"), np.array(tokens, dtype=np.int64)), (B, 1, dim))
     feats = ad.concat([token_rows, ad.const(x_pad)], axis=1)
     mask = np.concatenate([np.ones((B, 1)), x_mask], axis=1)
     yhat = st_encode_graph(params, feats, mask)
@@ -194,13 +195,3 @@ def _st_step_loss(params: CSTParams, triples: list, config: LossConfig, rng: np.
     labels = np.array([offsets[b] + steps[b] for b in range(B)], dtype=np.int64)
     parts = {"ce": ce_graph(yhat, universe, labels, np.full(B, 1.0 / B), config.temperature)}
     return parts["ce"], parts
-
-
-def total_loss(x: FeatureSet, ytrue: FeatureSet, z, params: CSTParams, scorer: MatchParams | None, config: LossConfig | None = None) -> float:
-    """Variant-wired loss for a single (X, Y, Z) triple."""
-    from .data import SplitTriple
-
-    config = config or LossConfig()
-    triple = SplitTriple(x=x, y=ytrue, z=np.asarray(z, dtype=np.int64))
-    loss, _ = batch_loss_graph(params, scorer, [triple], config)
-    return float(loss.values)

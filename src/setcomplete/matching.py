@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .data import split_outfit
 from .layers import AttentionParams, init_attention_params, mab_graph
 from .sets import FeatureSet, pad_stack
 
@@ -104,22 +105,11 @@ def symmetric_score(params: MatchParams, ea: ad.Tensor, mask_a, eb: ad.Tensor, m
     )
 
 
-def match_graph(params: MatchParams, xa, mask_a: np.ndarray, xb, mask_b: np.ndarray) -> ad.Tensor:
-    """Batched score graph: (B,) symmetric compatibility scores."""
-    ea = encode_graph(params, xa, mask_a)
-    eb = encode_graph(params, xb, mask_b)
-    return symmetric_score(params, ea, mask_a, eb, mask_b)
-
-
 def match_score(x: FeatureSet, y: FeatureSet, params: MatchParams) -> float:
     """Symmetric compatibility score of two sets."""
     if x.dim != params.config.dim or y.dim != params.config.dim:
         raise ValueError("feature dimension does not match the scorer")
-    xa, mask_a = pad_stack([x.features])
-    xb, mask_b = pad_stack([y.features])
-    with ad.inference():
-        out = match_graph(params, xa, mask_a, xb, mask_b)
-    return float(out.values[0])
+    return float(match_scores(params, [x.features], [[y.features]])[0][0])
 
 
 def match_scores(params: MatchParams, xs: list[np.ndarray], ys_lists, x_of=None) -> list[np.ndarray]:
@@ -178,15 +168,10 @@ def pretrain_matching(catalog, outfits, config: MatchConfig | None = None, log=N
             batch = [outfits[i] for i in order[start : start + config.batch_size]]
             xs, ys_pos, ys_neg = [], [], []
             for outfit in batch:
-                ids = np.asarray(outfit.item_ids, dtype=np.int64)
-                m = int(rng.integers(1, len(ids)))
-                picked = rng.permutation(len(ids))
-                rows = catalog.rows_of(ids)
-                y, x = picked[:m], picked[m:]
-                neg_ids = category_matched_negative(ids[y], catalog.categories[rows[y]], catalog.by_category, rng)
-                xs.append(catalog.features[rows[x]])
-                ys_pos.append(catalog.features[rows[y]])
-                ys_neg.append(catalog.features_of(neg_ids))
+                t = split_outfit(outfit, rng, catalog)
+                xs.append(t.x.features)
+                ys_pos.append(t.y.features)
+                ys_neg.append(catalog.features_of(category_matched_negative(t.y.element_ids, t.z, catalog.by_category, rng)))
             xa, mask_a = pad_stack(xs)
             xb, mask_b = pad_stack(ys_pos + ys_neg)
             ex = encode_graph(params, xa, mask_a)  # once, for the positive and the negative half

@@ -42,29 +42,15 @@ class ModelConfig:
 
 
 @dataclass
-class ConditionEmbedding:
-    """Lookup table mapping category ids to learnable D-vectors."""
-
-    store: ad.ParamStore
-    name: str
-    categories: int
-
-    def tensor(self) -> ad.Tensor:
-        return ad.param(self.store, self.name)
-
-    @property
-    def table(self) -> np.ndarray:
-        return self.store.params[self.name]
-
-
-@dataclass
 class CSTParams:
     variant: str
     config: ModelConfig
     store: ad.ParamStore
     slot_stack: list[AttentionParams] = field(default_factory=list)
     sab_stack: list[AttentionParams] = field(default_factory=list)
-    embedding: ConditionEmbedding | None = None
+    # the conditioned variants' (categories, D) lookup table, the store's
+    # "cond_table" array, so in-place updates reach it
+    embedding: np.ndarray | None = None
 
     @property
     def conditioned(self) -> bool:
@@ -82,8 +68,7 @@ def build_variant(tag: str, config: ModelConfig | None = None, seed: int = 0) ->
 
     if tag in CONDITIONED:
         sd = 1.0 / np.sqrt(config.dim)
-        store.add("cond_table", rng.normal(0.0, sd, size=(config.categories, config.dim)))
-        params.embedding = ConditionEmbedding(store, "cond_table", config.categories)
+        params.embedding = store.add("cond_table", rng.normal(0.0, sd, size=(config.categories, config.dim)))
 
     if tag == "st":
         for i in range(config.sab_layers):
@@ -109,14 +94,14 @@ def build_variant(tag: str, config: ModelConfig | None = None, seed: int = 0) ->
     return params
 
 
-def embed_conditions(labels, emb: ConditionEmbedding) -> FeatureSet:
-    """Lookup-table rows for the given category ids, order preserved."""
+def embed_conditions(labels, table: np.ndarray) -> FeatureSet:
+    """Rows of the (categories, D) lookup table for the given category ids, order preserved."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("labels must be a nonempty 1-D list of category ids")
-    if labels.min() < 0 or labels.max() >= emb.categories:
+    if labels.min() < 0 or labels.max() >= table.shape[0]:
         raise ValueError("category id outside the embedding table")
-    return FeatureSet(emb.table[labels], element_ids=labels)
+    return FeatureSet(table[labels], element_ids=labels)
 
 
 def slots_graph(params: CSTParams, labels_batch: list[np.ndarray], width: int, slot_seed: int = 0):
@@ -137,7 +122,7 @@ def slots_graph(params: CSTParams, labels_batch: list[np.ndarray], width: int, s
             if lab.size and (lab.min() < 0 or lab.max() >= params.config.categories):
                 raise ValueError("category id outside the embedding table")
             flat[i * width : i * width + len(lab)] = lab
-        gathered = ad.gather_rows(params.embedding.tensor(), flat)
+        gathered = ad.gather_rows(ad.param(params.store, "cond_table"), flat)
         z0 = ad.reshape(gathered, (B, width, dim))
         # zero out padded slots so the lookup rows there get no gradient
         z0 = ad.mul(z0, ad.const(mask[:, :, None]))
@@ -241,11 +226,11 @@ def st_encode_graph(params: CSTParams, feats, mask: np.ndarray) -> ad.Tensor:
 
 
 def st_encode(x: FeatureSet, label: int, params: CSTParams) -> np.ndarray:
-    """One sequential step: encode x plus the condition token for `label`."""
+    """One sequential step: encode the condition token for `label` followed
+    by x's rows, the order training uses."""
     if params.variant != "st":
         raise ValueError("st_encode requires the sequential baseline variant")
-    token = params.embedding.table[int(label)][None]
-    feats = np.concatenate([x.features, token], axis=0)
+    feats = np.concatenate([params.embedding[int(label)][None], x.features], axis=0)
     mask = np.ones(feats.shape[0], dtype=np.float64)
     with ad.inference():
         out = st_encode_graph(params, feats[None], mask[None])
@@ -261,12 +246,21 @@ def st_sequential_complete(x: FeatureSet, labels, params: CSTParams, index) -> l
     current = x.features
     chosen: list[int] = []
     for label in labels:
-        working = FeatureSet(current)
-        feature = st_encode(working, int(label), params)
-        hits = index.query_knn(feature, k=1, category_filter=int(label))
-        if not hits:
-            raise ValueError(f"retrieval returned no candidate for category {int(label)}")
-        item_id, _ = hits[0]
-        chosen.append(int(item_id))
+        feature = st_encode(FeatureSet(current), int(label), params)
+        item_id = int(index.query_knn(feature, k=1, category_filter=int(label))[0][0])
+        chosen.append(item_id)
         current = np.concatenate([current, index.features_of([item_id])], axis=0)
     return chosen
+
+
+def complete_ids(x: FeatureSet, labels, params: CSTParams, index, slot_seed: int = 0) -> list[int]:
+    """Complete a query with one indexed item per label, in label order.
+
+    The sequential baseline runs `st_sequential_complete`; the one-shot
+    variants run one `complete_batch` inference and take each output row's
+    nearest item within its label.
+    """
+    if params.variant == "st":
+        return st_sequential_complete(x, labels, params, index)
+    (rows,) = complete_batch([x], [labels], params, slot_seed)
+    return [int(index.query_knn(row, k=1, category_filter=int(label))[0][0]) for row, label in zip(rows, labels)]

@@ -162,6 +162,22 @@ def test_complete_names_a_label_with_no_indexed_item(pipeline, tmp_path, capsys)
     assert err == "error: no indexed item has category 5\n"
 
 
+def test_complete_with_an_index_needs_no_outfits_file(pipeline, tmp_path, capsys):
+    root, data, scorer, checkpoint = pipeline
+    catalog, _ = read_jsonl(data)
+    index = tmp_path / "all.idx"
+    build_index(catalog).save(index)
+    query = tmp_path / "query.jsonl"
+    query.write_text(Path(data).read_text().splitlines()[0] + "\n")
+    args = ["--query", str(query), "--labels", "1,3,0", "--checkpoint", checkpoint]
+    assert main(["complete", "--data", data, *args]) == 0
+    from_data = capsys.readouterr().out
+    assert main(["complete", "--index", str(index), *args]) == 0
+    assert capsys.readouterr().out == from_data
+    assert main(["complete", *args]) == 1
+    assert capsys.readouterr().err == "error: provide --data or --index\n"
+
+
 def test_complete_rejects_multi_outfit_query(pipeline, tmp_path, capsys):
     root, data, scorer, checkpoint = pipeline
     lines = Path(data).read_text().splitlines()

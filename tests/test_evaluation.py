@@ -33,30 +33,30 @@ def eval_world():
     return catalog, outfits, triples, index
 
 
-def oracle_predictor(t):
-    return t.y.features
+def oracle(triples):
+    return [t.y.features for t in triples]
 
 
 def test_oracle_predictor_scores_perfectly(eval_world):
     _, _, triples, index = eval_world
-    assert recall_at_k(oracle_predictor, triples, index, k=1) == 1.0
-    assert category_accuracy(oracle_predictor, triples, index) == 1.0
+    assert recall_at_k(oracle(triples), triples, index, k=1) == 1.0
+    assert category_accuracy(oracle(triples), triples, index) == 1.0
 
 
 def test_random_predictor_matches_analytic_baselines(eval_world):
     catalog, _, triples, index = eval_world
     rng = np.random.default_rng(7)
 
-    def random_predictor(t):
+    def random_rows(t):
         rows = rng.standard_normal((len(t.z), 8))
         return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
     k = 16
-    recall = recall_at_k(random_predictor, triples, index, k=k)
+    recall = recall_at_k([random_rows(t) for t in triples], triples, index, k=k)
     analytic = np.mean([k * len(t.z) / len(index) for t in triples])
     assert abs(recall - analytic) < 0.12
 
-    accuracy = category_accuracy(random_predictor, triples, index)
+    accuracy = category_accuracy([random_rows(t) for t in triples], triples, index)
     weights = np.bincount(catalog.categories, minlength=5) / len(catalog.ids)
     z_all = np.concatenate([t.z for t in triples])
     expected = float(np.mean(weights[z_all]))
@@ -75,7 +75,7 @@ def test_recall_monotone_in_k(eval_world):
 
 def test_smd_of_truth_is_zero(eval_world, tiny_scorer16):
     _, _, triples, _ = eval_world
-    report = smd(oracle_predictor, triples[:20], tiny_scorer16)
+    report = smd(oracle(triples[:20]), triples[:20], tiny_scorer16)
     assert report["mode"] == "raw"
     assert report["mean"] == 0.0
     assert report["n"] == 20
@@ -84,7 +84,7 @@ def test_smd_of_truth_is_zero(eval_world, tiny_scorer16):
 
 def test_smd_retrieved_mode_uses_index_features(eval_world, tiny_scorer16):
     _, _, triples, index = eval_world
-    report = smd(oracle_predictor, triples[:20], tiny_scorer16, index=index)
+    report = smd(oracle(triples[:20]), triples[:20], tiny_scorer16, index=index)
     assert report["mode"] == "retrieved"
     # truth features are themselves indexed, so retrieval reproduces them
     assert abs(report["mean"]) < 1e-12
@@ -98,7 +98,7 @@ def test_smd_percentiles_reconstruct_from_samples(eval_world, tiny_scorer16):
         rows = t.y.features + 0.5 * rng.standard_normal(t.y.features.shape)
         return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
-    report = smd(noisy, triples[:30], tiny_scorer16, index=index)
+    report = smd([noisy(t) for t in triples[:30]], triples[:30], tiny_scorer16, index=index)
     arr = np.asarray(report["samples"])
     assert report["n"] == arr.size
     assert report["mean"] == pytest.approx(float(arr.mean()), abs=1e-12)
@@ -189,18 +189,14 @@ def test_finb_is_seed_deterministic(eval_world):
 
 def test_diversity_histogram_identity_and_degenerate(eval_world):
     _, _, triples, index = eval_world
-    report = diversity_histogram(oracle_predictor, triples, index, top=100)
+    report = diversity_histogram(oracle(triples), triples, index, top=100)
     truth = target_histogram(triples, top=100)
     assert report["n_elements"] == truth["n_elements"]
     assert report["n_distinct"] == truth["n_distinct"]
     assert report["top_share"] == pytest.approx(truth["top_share"])
 
     first = index.features[0]
-
-    def constant(t):
-        return np.tile(first, (len(t.z), 1))
-
-    degenerate = diversity_histogram(constant, triples, index, top=1)
+    degenerate = diversity_histogram([np.tile(first, (len(t.z), 1)) for t in triples], triples, index, top=1)
     assert degenerate["top_share"] == 1.0
     assert degenerate["n_distinct"] == 1
     assert degenerate["max_frequency"] == degenerate["n_elements"]

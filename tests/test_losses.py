@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from setcomplete import autodiff as ad
 from setcomplete.data import SplitTriple
-from setcomplete.losses import LossConfig, batch_loss_graph, ce_inbatch, chamfer, sm_reg, total_loss
+from setcomplete.losses import LossConfig, batch_loss_graph, ce_inbatch, chamfer, sm_reg
 from setcomplete.matching import MatchConfig, init_match_params, match_score
 from setcomplete.model import ModelConfig, build_variant, embed_conditions
 from setcomplete.sets import FeatureSet, pad_stack
@@ -209,9 +209,8 @@ def test_total_alpha_zero_equals_ce(rng):
     params = build_variant("CR", config, seed=0)
     scorer = init_match_params(MatchConfig(dim=4, heads=2)).freeze()
     t = make_triple(rng, params)
-    total = total_loss(t.x, t.y, t.z, params, scorer, LossConfig(alpha=0.0))
-    _, parts = batch_loss_graph(params, scorer, [t], LossConfig(alpha=0.0))
-    assert total == pytest.approx(float(parts["ce"].values), abs=1e-12)
+    node, parts = batch_loss_graph(params, scorer, [t], LossConfig(alpha=0.0))
+    assert float(node.values) == pytest.approx(float(parts["ce"].values), abs=1e-12)
 
 
 def test_total_alpha_one_is_additive(rng):
@@ -243,7 +242,7 @@ def test_cr_requires_scorer(rng):
     params = build_variant("CR", config, seed=0)
     t = make_triple(rng, params)
     with pytest.raises(ValueError):
-        total_loss(t.x, t.y, t.z, params, None, LossConfig())
+        batch_loss_graph(params, None, [t], LossConfig())
 
 
 def test_loss_config_validation():

@@ -9,6 +9,7 @@ from setcomplete.model import (
     build_variant,
     complete_batch,
     complete_features,
+    complete_ids,
     cst_forward,
     cst_graph,
     embed_conditions,
@@ -16,6 +17,7 @@ from setcomplete.model import (
     reset_forward_count,
     slots_graph,
     st_encode,
+    st_encode_graph,
     st_sequential_complete,
 )
 from setcomplete.retrieval import build_index
@@ -30,7 +32,7 @@ def random_set(rng, n, dim=16):
 
 def test_embed_conditions_lookup_order():
     params = build_variant("CR", CONFIG, seed=0)
-    table = params.embedding.table
+    table = params.embedding
     out = embed_conditions([2, 0], params.embedding)
     assert np.array_equal(out.features, table[[2, 0]])
     rep = embed_conditions([3, 3], params.embedding)
@@ -67,7 +69,7 @@ def test_output_cardinality_and_unit_norm(rng):
 
 def test_variant_wiring():
     cr = build_variant("CR", CONFIG, seed=0)
-    assert cr.embedding is not None and cr.sab_stack and cr.conditioned
+    assert cr.embedding is cr.store.params["cond_table"] and cr.sab_stack and cr.conditioned
     sa = build_variant("sa", CONFIG, seed=0)
     assert sa.embedding is None and sa.sab_stack == [] and not sa.conditioned
     xx = build_variant("xx", CONFIG, seed=0)
@@ -134,6 +136,15 @@ def test_cst_rejects_empty_inputs(rng):
         cst_forward(FeatureSet(np.zeros((0, 16))), z, params)
     with pytest.raises(ValueError):
         cst_forward(x, FeatureSet(np.zeros((0, 16))), params)
+
+
+def test_st_encode_puts_the_condition_token_first_as_training_does(rng):
+    st = build_variant("st", CONFIG, seed=7)
+    x = random_set(rng, 4)
+    feats = np.concatenate([st.embedding[3][None], x.features])[None]
+    taped = st_encode_graph(st, feats, np.ones((1, 5)))
+    assert taped.parents is not None
+    assert np.array_equal(st_encode(x, 3, st), taped.values[0])
 
 
 def test_st_encoder_is_order_insensitive(rng):
@@ -214,3 +225,19 @@ def test_complete_batch_matches_per_query_calls(tag, shapes, seed):
         assert rows.shape == single.shape
         assert np.max(np.abs(rows - single)) <= 1e-12
         assert np.array_equal(top1_ids(BATCH_INDEX, rows), top1_ids(BATCH_INDEX, single))
+
+
+def test_complete_ids_takes_each_row_nearest_item_within_its_label(rng):
+    x = random_set(rng, 3)
+    labels = [4, 1, 1, 0]
+    for params in (BATCH_PARAMS["CR"], build_variant("xR", CONFIG, seed=14)):
+        (rows,) = complete_batch([x], [labels], params, slot_seed=2)
+        ids = complete_ids(x, labels, params, BATCH_INDEX, slot_seed=2)
+        assert ids == [BATCH_INDEX.query_knn(r, 1, category_filter=c)[0][0] for r, c in zip(rows, labels)]
+        assert BATCH_INDEX.categories_of(ids).tolist() == labels
+    st = build_variant("st", CONFIG, seed=14)
+    assert complete_ids(x, labels, st, BATCH_INDEX) == st_sequential_complete(x, labels, st, BATCH_INDEX)
+    no_cat_5 = build_index_from_rows(_ROWS[:5] / np.linalg.norm(_ROWS[:5], axis=1, keepdims=True), np.arange(5))
+    for params in (BATCH_PARAMS["CR"], st):
+        with pytest.raises(ValueError, match="no candidates"):
+            complete_ids(x, [0, 5], params, no_cat_5)
