@@ -45,7 +45,7 @@ class SplitTriple:
         if len(self.z) != self.y.features.shape[0]:
             raise ValueError("condition list must align with the target set")
         if self.x.element_ids is not None and self.y.element_ids is not None:
-            if set(map(int, self.x.element_ids)) & set(map(int, self.y.element_ids)):
+            if not set(self.x.element_ids.tolist()).isdisjoint(self.y.element_ids.tolist()):
                 raise ValueError("query and target sets must be disjoint")
 
 

@@ -178,8 +178,9 @@ class RetrievalIndex(ItemTable):
         """(D, N) copy of the features, made on the first row-wise product."""
         return np.ascontiguousarray(self.features.T)
 
-    def _spans(self, query: np.ndarray, category_filter, k: int, mode: str) -> tuple[list[int], list[int]]:
-        """Start and end rows of the lists a query scans.
+    def _spans(self, query: np.ndarray, cat: int | None, k: int, mode: str) -> tuple[list[int], list[int]]:
+        """Start and end rows of the lists a query scans; `cat` is the
+        filtered category's position in ``_cats``, or None.
 
         Exact mode scans every list as one span, or its category's list in an
         index without clustering (a clustered index reads a category through
@@ -191,14 +192,9 @@ class RetrievalIndex(ItemTable):
         if mode not in ("exact", "approx"):
             raise ValueError(f"unknown mode {mode!r}")
         width = len(self._cats)
-        lo, hi = 0, width
-        if category_filter is not None:
-            lo = self._cat_pos.get(int(category_filter))
-            if lo is None:
-                return [], []
-            hi = lo + 1
+        lo, hi = (0, width) if cat is None else (cat, cat + 1)
         if mode == "exact":
-            if category_filter is None:  # every list, as one span
+            if cat is None:  # every list, as one span
                 return [0], [len(self.ids)]
             return [int(self._bounds[lo])], [int(self._bounds[hi])]
         if self.centroids is None:
@@ -302,20 +298,21 @@ class RetrievalIndex(ItemTable):
         """Ranked (item_id, similarity), descending, ties by ascending id.
 
         Similarities are bitwise those of a one-thread ``features @ query``.
+        A `category_filter` that no indexed item has raises ValueError naming it.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         query = np.asarray(query, dtype=np.float64)
-        if mode == "exact" and category_filter is not None and self.centroids is not None:
-            j = self._cat_pos.get(int(category_filter))
-            if j is None:
-                raise ValueError("no candidates after filtering")
+        cat = None
+        if category_filter is not None:
+            cat = self._cat_pos.get(int(category_filter))
+            if cat is None:
+                raise ValueError(f"no indexed item has category {int(category_filter)}")
+        if mode == "exact" and cat is not None and self.centroids is not None:
             order, first = self._category_rows
-            ids, sims = self._scan_rows(query, order[first[j] : first[j + 1]], k)
+            ids, sims = self._scan_rows(query, order[first[cat] : first[cat + 1]], k)
         else:
-            starts, ends = self._spans(query, category_filter, k, mode)
-            if starts == ends:
-                raise ValueError("no candidates after filtering")
+            starts, ends = self._spans(query, cat, k, mode)
             ids, sims = self._scan(query, starts, ends, k)
         pick = kernels.topk_select(sims, ids, min(k, len(ids)))
         return list(zip(ids[pick].tolist(), sims[pick].tolist()))

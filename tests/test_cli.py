@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from setcomplete.cli import main
-from setcomplete.data import read_jsonl, split_of
-from setcomplete.model import ModelConfig, build_variant
+from setcomplete.data import read_catalog_jsonl, read_jsonl, split_of
+from setcomplete.model import ModelConfig, build_variant, complete_ids
 from setcomplete.retrieval import build_index
+from setcomplete.sets import FeatureSet
 from setcomplete.training import load_cst_checkpoint, save_cst_checkpoint
 
 GEN_CONFIG = {
@@ -269,3 +270,72 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _index_args(catalog, out):
+    return ["index", "--catalog", str(catalog), "--out", str(out)]
+
+
+def test_index_file_serves_complete_and_eval_as_the_python_api_does(pipeline, tmp_path, capsys):
+    root, data, scorer, checkpoint = pipeline
+    catalog_path = root / "data" / "catalog.jsonl"
+    assert main(_index_args(catalog_path, tmp_path / "idx")) == 0
+    assert "exact index" in capsys.readouterr().out
+    written = tmp_path / "idx" / "index.idx"
+    catalog = read_catalog_jsonl(catalog_path)
+    index = build_index(catalog)
+    index.save(tmp_path / "api.idx")
+    assert written.read_bytes() == (tmp_path / "api.idx").read_bytes()
+    assert json.loads((tmp_path / "idx" / "manifest.json").read_text())["status"] == "done"
+
+    st = tmp_path / "st.ckpt"
+    save_cst_checkpoint(st, build_variant("st", ModelConfig(**load_cst_checkpoint(checkpoint)[1]["config"])))
+    query_catalog, query_outfits = read_jsonl(data)
+    items = query_outfits[0].item_ids
+    x = FeatureSet(query_catalog.features_of(items), element_ids=np.asarray(items))
+    query = tmp_path / "query.jsonl"
+    query.write_text(Path(data).read_text().splitlines()[0] + "\n")
+    labels = [1, 3, 0]
+    for ckpt in (checkpoint, str(st)):
+        assert main(["complete", "--index", str(written), "--query", str(query),
+                     "--labels", ",".join(map(str, labels)), "--checkpoint", ckpt]) == 0
+        printed = [int(v) for v in capsys.readouterr().out.strip().split(",")]
+        assert printed == complete_ids(x, labels, load_cst_checkpoint(ckpt)[0], index)
+
+    out = tmp_path / "eval"
+    assert main(["eval", "--data", data, "--checkpoint", checkpoint, "--index", str(written), "--out", str(out)]) == 0
+    assert "recall@32" in capsys.readouterr().out
+    assert json.loads((out / "metrics.json").read_text())["variants"]["CR"]["recall@32"]["n"] > 0
+
+
+def test_index_refuses_to_overwrite_and_writes_the_same_bytes_twice(pipeline, tmp_path, capsys):
+    root = pipeline[0]
+    catalog_path = root / "data" / "catalog.jsonl"
+    assert main(_index_args(catalog_path, tmp_path / "a")) == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+    assert set(before) == {"manifest.json", "index.idx"}
+    assert main(_index_args(catalog_path, tmp_path / "a")) == 1
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()} == before
+    assert main(_index_args(catalog_path, tmp_path / "b")) == 0
+    assert (tmp_path / "b" / "index.idx").read_bytes() == before["index.idx"]
+    assert main([*_index_args(catalog_path, tmp_path / "a"), "--force"]) == 0
+    assert (tmp_path / "a" / "index.idx").read_bytes() == before["index.idx"]
+    for flag in ("--seed", "--config"):  # an exact index has nothing to configure or seed
+        with pytest.raises(SystemExit):
+            main([*_index_args(catalog_path, tmp_path / "c"), flag, "1"])
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_index_names_a_malformed_catalog_line(pipeline, tmp_path, capsys):
+    root = pipeline[0]
+    lines = (root / "data" / "catalog.jsonl").read_text().splitlines()
+    bad = tmp_path / "catalog.jsonl"
+    bad.write_text("\n".join([lines[0], lines[1].replace('"category_id"', '"category"'), *lines[2:]]) + "\n")
+    out = tmp_path / "idx"
+    assert main(_index_args(bad, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 2: ") and err.count("\n") == 1
+    assert not (out / "index.idx").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"

@@ -113,8 +113,10 @@ def test_split_outfit_partition_and_alignment():
 def test_split_triple_rejects_overlap():
     x = FeatureSet(np.zeros((2, 4)), element_ids=np.array([1, 2]))
     y = FeatureSet(np.zeros((1, 4)), element_ids=np.array([2]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^query and target sets must be disjoint$"):
         SplitTriple(x=x, y=y, z=np.array([0]))
+    apart = FeatureSet(np.zeros((1, 4)), element_ids=np.array([3]))
+    assert SplitTriple(x=x, y=apart, z=np.array([0])).y is apart
 
 
 def test_split_size_distribution_is_uniform():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import setcomplete.model as sm
+from setcomplete.data import Catalog
 from setcomplete.evaluation import top1_ids
 from setcomplete.model import (
     ModelConfig,
@@ -20,7 +21,7 @@ from setcomplete.model import (
     st_encode_graph,
     st_sequential_complete,
 )
-from setcomplete.retrieval import build_index
+from setcomplete.retrieval import AnnConfig, build_index
 from setcomplete.sets import FeatureSet, pad_stack
 
 CONFIG = ModelConfig(dim=16, heads=4, slot_layers=2, sab_layers=1, categories=6)
@@ -115,8 +116,6 @@ def test_st_forward_counts_and_growth(rng):
 
 
 def build_index_from_rows(features, categories):
-    from setcomplete.data import Catalog
-
     return build_index(Catalog(np.arange(len(features)), categories, features))
 
 
@@ -237,7 +236,14 @@ def test_complete_ids_takes_each_row_nearest_item_within_its_label(rng):
         assert BATCH_INDEX.categories_of(ids).tolist() == labels
     st = build_variant("st", CONFIG, seed=14)
     assert complete_ids(x, labels, st, BATCH_INDEX) == st_sequential_complete(x, labels, st, BATCH_INDEX)
-    no_cat_5 = build_index_from_rows(_ROWS[:5] / np.linalg.norm(_ROWS[:5], axis=1, keepdims=True), np.arange(5))
-    for params in (BATCH_PARAMS["CR"], st):
-        with pytest.raises(ValueError, match="no candidates"):
-            complete_ids(x, [0, 5], params, no_cat_5)
+
+
+def test_complete_ids_names_the_label_no_indexed_item_has(rng):
+    # without clustering the label has no list; a clustered index reads it through its category order
+    keep = BATCH_INDEX.categories != 5
+    catalog = Catalog(BATCH_INDEX.ids[keep], BATCH_INDEX.categories[keep], BATCH_INDEX.features[keep])
+    x = random_set(rng, 3)
+    for index in (build_index(catalog), build_index(catalog, AnnConfig(clusters=4, probes=2))):
+        for params in (BATCH_PARAMS["CR"], build_variant("st", CONFIG, seed=14)):
+            with pytest.raises(ValueError, match="^no indexed item has category 5$"):
+                complete_ids(x, [1, np.int64(5), 0], params, index)
