@@ -249,7 +249,8 @@ def st_sequential_complete(x: FeatureSet, labels, params: CSTParams, index) -> l
         feature = st_encode(FeatureSet(current), int(label), params)
         item_id = int(index.query_knn(feature, k=1, category_filter=int(label))[0][0])
         chosen.append(item_id)
-        current = np.concatenate([current, index.features_of([item_id])], axis=0)
+        row = int(index.ids.searchsorted(item_id))  # a hit of the index's own search, so present
+        current = np.concatenate([current, index.features[row : row + 1]], axis=0)
     return chosen
 
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from setcomplete.data import GenConfig, generate_dataset, split_outfits, triples_for
 from setcomplete.evaluation import (
@@ -158,6 +159,43 @@ def test_binomial_ci_known_values():
     assert low < 0.125 < high
     with pytest.raises(ValueError):
         binomial_ci(0, 0)
+
+
+@pytest.mark.parametrize(
+    "successes, n, level, message",
+    [(5, 3, 0.95, "successes"), (-1, 10, 0.95, "successes"), (3, 10, 1.5, "level"), (3, 10, 0.0, "level"), (3, 10, float("nan"), "level")],
+)
+def test_binomial_ci_rejects_successes_outside_the_trials_and_levels_outside_0_1(successes, n, level, message):
+    with pytest.raises(ValueError, match=message):
+        binomial_ci(successes, n, level)
+
+
+def _assert_scipy_stats_bits(successes: np.ndarray, n: np.ndarray, level: float) -> None:
+    alpha = 1.0 - level
+    with np.errstate(invalid="ignore"):  # ppf is nan at the s == 0 and s == n ends, which binomial_ci fixes
+        low = np.where(successes == 0, 0.0, stats.beta.ppf(alpha / 2, successes, n - successes + 1))
+        high = np.where(successes == n, 1.0, stats.beta.ppf(1 - alpha / 2, successes + 1, n - successes))
+    want = np.stack([low, high], axis=1)
+    got = np.array([binomial_ci(s, trials, level) for s, trials in zip(successes.tolist(), n.tolist())])
+    differ = np.flatnonzero((got.view(np.int64) != want.view(np.int64)).any(axis=1))
+    assert differ.size == 0, (
+        f"{differ.size} intervals differ from scipy.stats.beta.ppf's in this scipy version, first "
+        f"binomial_ci({successes[differ[0]]}, {n[differ[0]]}, {level}) = {got[differ[0]].tolist()} against {want[differ[0]].tolist()}"
+    )
+
+
+def test_binomial_ci_equals_scipy_stats_beta_ppf_bitwise_for_every_small_n():
+    n = np.repeat(np.arange(1, 401), np.arange(2, 402))
+    successes = np.concatenate([np.arange(trials + 1) for trials in range(1, 401)])
+    _assert_scipy_stats_bits(successes, n, 0.95)
+
+
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.99])
+def test_binomial_ci_equals_scipy_stats_beta_ppf_bitwise_for_large_n(level):
+    rng = np.random.default_rng(17)
+    n = rng.integers(401, 50_000, size=2_000)
+    successes = rng.integers(0, n + 1)
+    _assert_scipy_stats_bits(successes, n, level)
 
 
 def test_finb_untrained_scorer_near_chance(eval_world):

@@ -115,6 +115,20 @@ def test_st_forward_counts_and_growth(rng):
     assert [cats[i] for i in ids3] == [1, 2, 0]
 
 
+def test_st_appends_the_feature_of_each_item_it_retrieves(rng):
+    st = build_variant("st", CONFIG, seed=4)
+    features = rng.standard_normal((30, 16))
+    ids = rng.permutation(30) * 7 + 100  # an item's id is not its row, so a misread row shows
+    index = build_index(Catalog(ids, np.arange(30) % 6, features))
+    x, labels = random_set(rng, 3), [1, 2, 0, 2, 1, 5]
+    current, expected = x.features, []
+    for label in labels:
+        item = index.query_knn(st_encode(FeatureSet(current), label, st), k=1, category_filter=label)[0][0]
+        expected.append(item)
+        current = np.concatenate([current, index.features_of([item])])
+    assert st_sequential_complete(x, labels, st, index) == expected
+
+
 def build_index_from_rows(features, categories):
     return build_index(Catalog(np.arange(len(features)), categories, features))
 

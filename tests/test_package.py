@@ -20,3 +20,14 @@ def test_importing_the_package_and_cli_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_computing_the_interval_loads_scipy_special_but_not_scipy_stats():
+    code = (
+        "import sys, setcomplete.evaluation as e; e.binomial_ci(13, 100); "
+        "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
