@@ -16,7 +16,9 @@ Outfit files are newline-delimited JSON, one outfit per line:
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +88,12 @@ class GenConfig:
             raise ValueError("outfit sizes must fit within the category count")
         if not 0.0 <= self.coherence <= 1.0:
             raise ValueError("coherence must be a probability")
+        if self.dim < 1:
+            raise ValueError(f"dim must be at least 1, got {self.dim}")
+        if self.outfits < 0:
+            raise ValueError(f"outfits must be at least 0, got {self.outfits}")
+        if not 0.0 <= self.noise < float("inf"):
+            raise ValueError(f"noise must be finite and at least 0, got {self.noise}")
         return self
 
 
@@ -93,6 +101,27 @@ def category_weights(n: int) -> np.ndarray:
     """Zipf-like popularity so category frequencies are deliberately uneven."""
     w = 1.0 / np.arange(1, n + 1)
     return w / w.sum()
+
+
+def _choice_without_replacement(rng: np.random.Generator, p: list[float], size: int) -> list[int]:
+    """`rng.choice(len(p), size, replace=False, p=p)` on Python lists.
+
+    Runs numpy's own algorithm (draw the missing count, zero the weights
+    taken, invert the normalized running sum, keep each value's first new
+    index) with the same generator calls, so it returns the same indices and
+    leaves the generator in the same state, at a fraction of the call cost.
+    """
+    p = list(p)
+    found: list[int] = []
+    while len(found) < size:
+        draws = rng.random(size - len(found)).tolist()
+        for i in found:
+            p[i] = 0.0
+        cdf = list(accumulate(p))
+        total = cdf[-1]
+        cdf = [v / total for v in cdf]
+        found += dict.fromkeys(bisect_right(cdf, x) for x in draws)
+    return found
 
 
 def generate_dataset(config: GenConfig | None = None) -> tuple[Catalog, list[Outfit]]:
@@ -118,23 +147,23 @@ def generate_dataset(config: GenConfig | None = None) -> tuple[Catalog, list[Out
     feats = l2_rows(u_cat[cats] + v_style[styles] + noise)
     catalog = Catalog(np.arange(N), cats, feats, styles)
 
-    bucket: dict[tuple[int, int], np.ndarray] = {}
-    for c in range(C):
-        for s in range(S):
-            bucket[(c, s)] = np.where((cats == c) & (styles == s))[0]
-
     outfits: list[Outfit] = []
+    if config.outfits == 0:
+        return catalog, outfits
+    # item ids are the rows 0..N-1; pools are built once, as Python lists
+    by_cat: list[list[int]] = [[] for _ in range(C)]
+    bucket: list[list[list[int]]] = [[[] for _ in range(S)] for _ in range(C)]
+    for iid, (c, s) in enumerate(zip(cats.tolist(), styles.tolist())):
+        by_cat[c].append(iid)
+        bucket[c][s].append(iid)
+    p = weights.tolist()
     for oid in range(config.outfits):
         style = int(rng.integers(0, S))
         size = int(rng.integers(config.min_size, config.max_size + 1))
-        chosen_cats = rng.choice(C, size=size, replace=False, p=weights)
         ids = []
-        for c in chosen_cats:
-            if rng.random() < config.coherence:
-                pool = bucket[(int(c), style)]
-            else:
-                pool = np.where(cats == c)[0]
-            ids.append(int(catalog.ids[pool[rng.integers(len(pool))]]))
+        for c in _choice_without_replacement(rng, p, size):
+            pool = bucket[c][style] if rng.random() < config.coherence else by_cat[c]
+            ids.append(pool[rng.integers(len(pool))])
         outfits.append(Outfit(oid, ids, likes=int(rng.poisson(10))))
     return catalog, outfits
 
@@ -207,17 +236,22 @@ _CATALOG_KEYS = _ITEM_KEYS | {"style_id"}
 
 
 def write_jsonl(path: str | Path, catalog: Catalog, outfits: list[Outfit]) -> None:
-    """One outfit per line with full item records embedded."""
+    """One outfit per line with full item records embedded.
+
+    Each item's record is encoded once, the first time an outfit names it;
+    the bytes are those of `json.dumps` on the whole line.
+    """
+    fragments: dict[int, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for o in outfits:
-            rows = catalog.rows_of(o.item_ids)
-            items = zip(catalog.ids[rows].tolist(), catalog.categories[rows].tolist(), catalog.features[rows].tolist())
-            record = {
-                "outfit_id": int(o.outfit_id),
-                "likes": int(o.likes),
-                "items": [{"item_id": i, "category_id": c, "feature": f} for i, c, f in items],
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            new = [i for i in o.item_ids if i not in fragments]
+            if new:
+                rows = catalog.rows_of(new)
+                items = zip(catalog.ids[rows].tolist(), catalog.categories[rows].tolist(), catalog.features[rows].tolist())
+                for i, c, f in items:
+                    fragments[i] = json.dumps({"item_id": i, "category_id": c, "feature": f}, separators=(",", ":"))
+            items_json = ",".join(fragments[i] for i in o.item_ids)
+            fh.write(f'{{"outfit_id":{int(o.outfit_id)},"likes":{int(o.likes)},"items":[{items_json}]}}\n')
 
 
 def _int64(value) -> int:

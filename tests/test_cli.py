@@ -91,6 +91,19 @@ def test_malformed_config_file_is_one_line_error_naming_it(tmp_path, capsys, pay
     assert err.startswith(f"error: {cfg}: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", 0, "dim must be at least 1, got 0"),
+    ("outfits", -3, "outfits must be at least 0, got -3"),
+    ("noise", float("nan"), "noise must be finite and at least 0, got nan"),
+    ("noise", float("inf"), "noise must be finite and at least 0, got inf"),
+], ids=["dim-0", "negative-outfits", "nan-noise", "inf-noise"])
+def test_gen_data_rejects_a_bad_config_value_in_one_line(tmp_path, capsys, field, value, message):
+    cfg = write_config(tmp_path, "gen.json", {**GEN_CONFIG, field: value})  # json writes NaN and Infinity
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "outfits.jsonl").exists()
+
+
 def test_pipeline_artifacts_and_manifest(pipeline):
     root, data, scorer, checkpoint = pipeline
     assert Path(scorer).exists()

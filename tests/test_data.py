@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from setcomplete.data import (
@@ -10,6 +11,7 @@ from setcomplete.data import (
     GenConfig,
     Outfit,
     SplitTriple,
+    _choice_without_replacement,
     category_weights,
     generate_dataset,
     items_in,
@@ -55,6 +57,47 @@ def test_outfits_have_distinct_categories_and_valid_sizes():
 def test_catalog_too_small_for_buckets_rejected():
     with pytest.raises(ValueError):
         GenConfig(categories=10, styles=10, catalog_size=50, outfits=10, dim=4).validate()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", 0, "dim must be at least 1, got 0"),
+    ("outfits", -3, "outfits must be at least 0, got -3"),
+    ("noise", -0.1, "noise must be finite and at least 0, got -0.1"),
+    ("noise", float("nan"), "noise must be finite and at least 0, got nan"),
+    ("noise", float("inf"), "noise must be finite and at least 0, got inf"),
+], ids=["dim-0", "negative-outfits", "negative-noise", "nan-noise", "inf-noise"])
+def test_gen_config_rejects_an_empty_feature_a_negative_count_or_bad_noise(field, value, message):
+    config = GenConfig(categories=5, styles=3, catalog_size=120, outfits=20, dim=8, min_size=3, max_size=5)
+    setattr(config, field, value)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        config.validate()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_dataset(config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), case=st.integers(2, 24).flatmap(lambda c: st.tuples(st.just(c), st.integers(1, c))))
+@example(seed=0, case=(24, 24))
+@example(seed=5, case=(2, 2))
+def test_sampler_equals_numpy_choice_without_replacement(seed, case):
+    """Same indices, in the same order, and the generator left in the same state."""
+    categories, size = case
+    weights = category_weights(categories)
+    oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = oracle.choice(categories, size=size, replace=False, p=weights).tolist()
+    assert _choice_without_replacement(rng, weights.tolist(), size) == expected
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("config, digest", [
+    (SMALL, "9c2f88f92193a1e0104bcc6b1e409d2644e47bd58e350a3d61c7cd1aca325ecc"),
+    (GenConfig(catalog_size=2000, outfits=384, seed=7), "61a94ed856abad019df1bb725892b994e4eb625bbec1117d5442039b21c5fcc6"),
+], ids=["small", "train-workload-shape"])
+def test_outfit_stream_is_pinned(config, digest):
+    """Ids, sizes and likes of every outfit, as earlier releases generated them (integers only)."""
+    _, outfits = generate_dataset(config)
+    stream = json.dumps([[o.outfit_id, o.item_ids, o.likes] for o in outfits], separators=(",", ":"))
+    assert hashlib.sha256(stream.encode()).hexdigest() == digest
 
 
 def test_degenerate_noise_collapses_buckets():
@@ -188,6 +231,33 @@ def test_jsonl_roundtrip(tmp_path):
     first = json.loads(path.read_text().splitlines()[0])
     assert set(first) == {"outfit_id", "likes", "items"}
     assert set(first["items"][0]) == {"item_id", "category_id", "feature"}
+
+
+def test_write_jsonl_equals_one_json_dumps_per_line(tmp_path):
+    """Item records encoded once and joined give the bytes of a whole-line `json.dumps`."""
+    rng = np.random.default_rng(3)
+    ids = [907, 3, -2, 10**12, 55, 40, 6]  # not 0..N-1, not sorted
+    features = rng.standard_normal((len(ids), 4))
+    features[0, 1], features[1, :] = -0.0, [1e-300, 1 / 3, 2.5e17, 7.0]
+    catalog = Catalog(ids, [2, 0, 1, 0, 2, 1, 0], features)
+    outfits = [Outfit(12, [55, 3, 907], 4), Outfit(-1, [3, 10**12], 0), Outfit(7, [], 11),
+               Outfit(2**40, [-2, 55, 3, 40], 3), Outfit(5, [907], 9)]
+    path = tmp_path / "outfits.jsonl"
+    write_jsonl(path, catalog, outfits)
+    lines = []
+    for o in outfits:
+        items = [{"item_id": i, "category_id": int(catalog.categories_of([i])[0]), "feature": catalog.features_of([i])[0].tolist()}
+                 for i in o.item_ids]
+        record = {"outfit_id": o.outfit_id, "likes": o.likes, "items": items}
+        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    assert path.read_text(encoding="utf-8") == "".join(lines)
+
+    bad = Outfit(8, [3, 6, 999, 41], 1)  # 3 already encoded, 6 not yet; 999 is the first id the catalog lacks
+    with pytest.raises(KeyError) as expected:
+        catalog.rows_of(bad.item_ids)
+    with pytest.raises(KeyError) as got:
+        write_jsonl(path, catalog, outfits + [bad])
+    assert got.value.args == expected.value.args == (999,)
 
 
 def test_catalog_jsonl_roundtrip_keeps_styles(tmp_path):
