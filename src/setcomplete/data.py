@@ -20,6 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -103,24 +104,64 @@ def category_weights(n: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _choice_without_replacement(rng: np.random.Generator, p: list[float], size: int) -> list[int]:
+def integers_below(rng: np.random.Generator) -> Callable[[int], int]:
+    """A function `below(n)` equal to `rng.integers(n)` for 1 <= n <= 2**32.
+
+    Numpy draws a bounded integer by Lemire's multiply-shift over the bit
+    generator's buffered `next_uint32`. `below` makes the same calls to that
+    function through `BitGenerator.ctypes`, so it returns the same values and
+    leaves the generator, its 32-bit carry included, in the same state, at a
+    fraction of the call cost. Like numpy it draws nothing for n == 1.
+    Building it costs a few microseconds per new generator, so it pays only
+    where one generator makes many draws.
+    """
+    bit_generator = rng.bit_generator
+    iface = bit_generator.ctypes
+    next_uint32, state = iface.next_uint32, iface.state
+
+    def below(n: int) -> int:
+        if n == 1:
+            return 0
+        m = next_uint32(state) * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(state) * n
+        return m >> 32
+
+    below.bit_generator = bit_generator  # the C state lives as long as `below`
+    return below
+
+
+_CDF_CACHE_SIZE = 1024  # the sets a generator run meets first are the common ones; a cap bounds wide configs
+
+
+def _choice_without_replacement(
+    rng: np.random.Generator, p: list[float], size: int, cdfs: dict[frozenset, list[float]] | None = None
+) -> list[int]:
     """`rng.choice(len(p), size, replace=False, p=p)` on Python lists.
 
     Runs numpy's own algorithm (draw the missing count, zero the weights
     taken, invert the normalized running sum, keep each value's first new
     index) with the same generator calls, so it returns the same indices and
     leaves the generator in the same state, at a fraction of the call cost.
+    A round's normalized running sum depends only on the indices taken
+    before it; `cdfs` keeps the first `_CDF_CACHE_SIZE` of them by that set,
+    across calls with one `p`.
     """
-    p = list(p)
+    cdfs = {} if cdfs is None else cdfs
     found: list[int] = []
     while len(found) < size:
         draws = rng.random(size - len(found)).tolist()
-        for i in found:
-            p[i] = 0.0
-        cdf = list(accumulate(p))
-        total = cdf[-1]
-        cdf = [v / total for v in cdf]
-        found += dict.fromkeys(bisect_right(cdf, x) for x in draws)
+        taken = frozenset(found)
+        cdf = cdfs.get(taken)
+        if cdf is None:
+            running = list(accumulate(0.0 if i in taken else w for i, w in enumerate(p)))
+            total = running[-1]
+            cdf = [v / total for v in running]
+            if len(cdfs) < _CDF_CACHE_SIZE:
+                cdfs[taken] = cdf
+        found += dict.fromkeys([bisect_right(cdf, x) for x in draws])
     return found
 
 
@@ -156,14 +197,18 @@ def generate_dataset(config: GenConfig | None = None) -> tuple[Catalog, list[Out
     for iid, (c, s) in enumerate(zip(cats.tolist(), styles.tolist())):
         by_cat[c].append(iid)
         bucket[c][s].append(iid)
-    p = weights.tolist()
+    # the same generator calls as rng.integers and rng.random, through the bit generator
+    p, cdfs = weights.tolist(), {}
+    below = integers_below(rng)
+    iface = rng.bit_generator.ctypes
+    next_double, state = iface.next_double, iface.state
     for oid in range(config.outfits):
-        style = int(rng.integers(0, S))
-        size = int(rng.integers(config.min_size, config.max_size + 1))
+        style = below(S)
+        size = config.min_size + below(config.max_size + 1 - config.min_size)
         ids = []
-        for c in _choice_without_replacement(rng, p, size):
-            pool = bucket[c][style] if rng.random() < config.coherence else by_cat[c]
-            ids.append(pool[rng.integers(len(pool))])
+        for c in _choice_without_replacement(rng, p, size, cdfs):
+            pool = bucket[c][style] if next_double(state) < config.coherence else by_cat[c]
+            ids.append(pool[below(len(pool))])
         outfits.append(Outfit(oid, ids, likes=int(rng.poisson(10))))
     return catalog, outfits
 
@@ -196,9 +241,15 @@ def triples_for(outfits: list[Outfit], catalog: Catalog, seed: int = 0) -> list[
 
 
 _MASK64 = (1 << 64) - 1
+_SPLITS = ("train",) * 8 + ("val", "test")
 
 
-def splitmix64(x: int) -> int:
+def splitmix64(x):
+    """splitmix64 of a Python int, or of each element of a uint64 array.
+
+    Not of a numpy scalar: numpy warns on uint64 overflow of a scalar, and
+    wraps an array's silently, which is the arithmetic the hash needs.
+    """
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -208,16 +259,16 @@ def splitmix64(x: int) -> int:
 
 def split_of(outfit_id: int) -> str:
     """Deterministic 80/10/10 split keyed by outfit id."""
-    bucket = splitmix64(int(outfit_id)) % 10
-    if bucket < 8:
-        return "train"
-    return "val" if bucket == 8 else "test"
+    return _SPLITS[splitmix64(int(outfit_id)) % 10]
 
 
 def split_outfits(outfits: list[Outfit]) -> dict[str, list[Outfit]]:
+    """`split_of` of every outfit, hashed as one array: the int64 ids (as
+    generation and the loaders make them) cast to uint64."""
+    ids = np.fromiter((o.outfit_id for o in outfits), dtype=np.int64, count=len(outfits))
     out: dict[str, list[Outfit]] = {"train": [], "val": [], "test": []}
-    for o in outfits:
-        out[split_of(o.outfit_id)].append(o)
+    for o, bucket in zip(outfits, (splitmix64(ids.astype(np.uint64)) % 10).tolist()):
+        out[_SPLITS[bucket]].append(o)
     return out
 
 
@@ -255,11 +306,16 @@ def write_jsonl(path: str | Path, catalog: Catalog, outfits: list[Outfit]) -> No
 
 
 def _int64(value) -> int:
-    """An id field's value as an int that fits the int64 arrays it lands in."""
-    out = int(value)
-    if not -(2**63) <= out < 2**63:
-        raise ValueError(f"{out} is outside the int64 range")
-    return out
+    """An id or count field's JSON integer, checked to fit the int64 arrays it lands in.
+
+    Any other JSON value (a float, even an integral one, a string or a
+    boolean) is rejected, not converted.
+    """
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {type(value).__name__} {value!r}")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} is outside the int64 range")
+    return value
 
 
 def _feature(raw, dim: int | None) -> np.ndarray:
@@ -318,7 +374,7 @@ def read_jsonl(path: str | Path) -> tuple[Catalog | None, list[Outfit]]:
                     raise ValueError(f"item {iid} seen with two different categories")
                 ids.append(iid)
             outfits.append(Outfit(_int64(record["outfit_id"]), ids, _int64(record.get("likes", 0))))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf), 1e400 in a feature
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float in a feature
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     if not items:
         return None, outfits

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import split_outfit
+from .data import integers_below, split_outfit
 from .layers import AttentionParams, init_attention_params, mab_graph
 from .sets import FeatureSet, pad_stack
 
@@ -133,14 +133,19 @@ def match_scores(params: MatchParams, xs: list[np.ndarray], ys_lists, x_of=None)
 
 
 def category_matched_negative(y_ids: np.ndarray, categories: np.ndarray, by_category: dict[int, np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    """Replace each item with a random item of the same category."""
+    """Replace each item with a random item of the same category.
+
+    Draws the picks of `rng.integers(len(pool))`, redraws included, through
+    `integers_below`: the same values and the same generator state.
+    """
+    below = integers_below(rng)
     out = np.empty_like(y_ids)
     for i, (item, cat) in enumerate(zip(y_ids, categories)):
         pool = by_category[int(cat)]
-        pick = int(pool[rng.integers(len(pool))])
+        pick = int(pool[below(len(pool))])
         if len(pool) > 1:
             while pick == int(item):
-                pick = int(pool[rng.integers(len(pool))])
+                pick = int(pool[below(len(pool))])
         out[i] = pick
     return out
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from setcomplete.data import (
     _choice_without_replacement,
     category_weights,
     generate_dataset,
+    integers_below,
     items_in,
     read_catalog_jsonl,
     read_jsonl,
@@ -26,7 +28,7 @@ from setcomplete.data import (
     write_jsonl,
 )
 from setcomplete.retrieval import AnnConfig, RetrievalIndex, build_index
-from setcomplete.sets import FeatureSet
+from setcomplete.sets import FeatureSet, l2_rows
 
 SMALL = GenConfig(categories=5, styles=3, catalog_size=120, outfits=200, dim=8, min_size=3, max_size=5, seed=4)
 
@@ -87,6 +89,88 @@ def test_sampler_equals_numpy_choice_without_replacement(seed, case):
     expected = oracle.choice(categories, size=size, replace=False, p=weights).tolist()
     assert _choice_without_replacement(rng, weights.tolist(), size) == expected
     assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1),
+       calls=st.lists(st.one_of(st.integers(1, 2**32), st.integers(1, 40), st.sampled_from(["random", "poisson"])),
+                      min_size=1, max_size=24))
+@example(seed=0, calls=[1, 1, "random", 1])
+@example(seed=1, calls=[2**31 + 1, "random", 2**31 + 1, 2**31 + 1, "poisson", 2**31 + 1])
+@example(seed=2, calls=[2**32 - 1, "poisson", 2**32 - 1, 2**32 - 1])
+@example(seed=3, calls=[2**32, 3, "random", 2**32, 2**32])
+def test_integers_below_equals_numpy_integers(seed, calls):
+    """Same values, and the generator left in the same state after every call, 32-bit carry included."""
+    oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    below = integers_below(rng)
+    for call in calls:
+        if call == "random":
+            assert rng.random() == oracle.random()
+        elif call == "poisson":
+            assert rng.poisson(10) == oracle.poisson(10)
+        else:
+            got = below(call)
+            assert type(got) is int and got == oracle.integers(call)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+def _reference_dataset(config: GenConfig):
+    """The generator as plain numpy calls (`rng.integers`, `rng.random`, `rng.choice`): the oracle for its stream."""
+    rng = np.random.default_rng(config.seed)
+    C, S, N, D = config.categories, config.styles, config.catalog_size, config.dim
+    u_cat = l2_rows(rng.standard_normal((C, D)))
+    v_style = l2_rows(rng.standard_normal((S, D)))
+    weights = category_weights(C)
+    grid = np.arange(C * S)
+    cats = np.concatenate([grid % C, rng.choice(C, size=N - C * S, p=weights)])
+    styles = np.concatenate([grid // C, rng.integers(0, S, size=N - C * S)])
+    feats = l2_rows(u_cat[cats] + v_style[styles] + rng.standard_normal((N, D)) * config.noise)
+    outfits = []
+    for oid in range(config.outfits):
+        style = int(rng.integers(0, S))
+        size = int(rng.integers(config.min_size, config.max_size + 1))
+        ids = []
+        for c in rng.choice(C, size=size, replace=False, p=weights):
+            coherent = rng.random() < config.coherence
+            pool = np.flatnonzero((cats == c) & (styles == style) if coherent else cats == c)
+            ids.append(int(pool[rng.integers(len(pool))]))
+        outfits.append([oid, ids, int(rng.poisson(10))])
+    return cats, styles, feats, outfits, rng.bit_generator.state
+
+
+@st.composite
+def small_gen_configs(draw):
+    categories, styles = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    min_size = draw(st.integers(2, categories))
+    return GenConfig(categories=categories, styles=styles,
+                     catalog_size=categories * styles + draw(st.integers(0, 40)),
+                     outfits=draw(st.integers(0, 30)), dim=draw(st.integers(1, 4)),
+                     coherence=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+                     min_size=min_size, max_size=draw(st.integers(min_size, categories)),
+                     seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=small_gen_configs())
+@example(config=GenConfig(categories=3, styles=1, catalog_size=9, outfits=30, dim=2, min_size=2, max_size=3, seed=1))
+@example(config=GenConfig(categories=6, styles=3, catalog_size=40, outfits=30, dim=2, min_size=4, max_size=4, seed=2))
+@example(config=GenConfig(categories=2, styles=1, catalog_size=2, outfits=30, dim=1, min_size=2, max_size=2, seed=3))
+def test_generate_dataset_equals_the_plain_numpy_loop(config):
+    """Same catalog, same outfits and the generator left in the same state."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", recording_rng):
+        catalog, outfits = generate_dataset(config)
+    cats, styles, feats, expected, state = _reference_dataset(config)
+    assert np.array_equal(catalog.categories, cats) and np.array_equal(catalog.styles, styles)
+    assert np.array_equal(catalog.features, feats)
+    assert [[o.outfit_id, o.item_ids, o.likes] for o in outfits] == expected
+    assert made[0].bit_generator.state == state
 
 
 @pytest.mark.parametrize("config, digest", [
@@ -208,6 +292,17 @@ def test_split_outfits_respects_hash():
             assert split_of(o.outfit_id) == name
 
 
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40))
+@example(ids=[0, -1, 1, -(2**63), 2**63 - 1, -(2**63) + 1, 2**63 - 2])
+def test_split_outfits_buckets_equal_split_of(ids):
+    """The array hash gives each id the bucket of the scalar one, negative ids and int64 extremes included."""
+    outfits = [Outfit(i, [], likes=n) for n, i in enumerate(ids)]
+    splits = split_outfits(outfits)
+    for name in ("train", "val", "test"):
+        assert splits[name] == [o for o in outfits if split_of(o.outfit_id) == name]
+
+
 def test_triples_are_reproducible():
     catalog, outfits = generate_dataset(SMALL)
     a = triples_for(outfits[:20], catalog, seed=9)
@@ -282,6 +377,27 @@ def test_read_jsonl_reports_line_numbers(tmp_path):
         read_jsonl(path)
 
 
+@pytest.mark.parametrize("value, shown", [
+    (1.5, "float 1.5"), (2.0, "float 2.0"), ("7", "str '7'"), (True, "bool True"),
+], ids=["float", "integral-float", "numeric-string", "bool"])
+@pytest.mark.parametrize("field", ["outfit_id", "likes", "item_id", "category_id", "style_id"])
+def test_jsonl_readers_take_only_json_integers_for_ids_and_counts(tmp_path, field, value, shown):
+    path = tmp_path / "bad.jsonl"
+    item = {"item_id": 0, "category_id": 0, "feature": [0.0, 1.0]}
+    if field == "style_id":
+        bad, read = {**item, "style_id": value}, read_catalog_jsonl
+        good = {**item, "item_id": 1, "style_id": 0}
+    else:
+        good = {"outfit_id": 0, "likes": 1, "items": [item]}
+        bad = {"outfit_id": 1, "likes": 1, "items": [dict(item)]}
+        (bad if field in ("outfit_id", "likes") else bad["items"][0])[field] = value
+        read = read_jsonl
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: line 2: expected an integer, got {shown}"
+
+
 def test_read_jsonl_strict_rejects_unknown_fields(tmp_path):
     path = tmp_path / "extra.jsonl"
     row = {"outfit_id": 0, "likes": 1, "surprise": 2,
@@ -321,20 +437,16 @@ def test_jsonl_readers_name_a_line_that_is_not_utf8(tmp_path, read):
     assert str(err.value) == f"{path}: line 2: not UTF-8 (invalid start byte at byte 50)"
 
 
-def _int_fails(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return True
-    return False
-
-
 LINE_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"), min_size=1).filter(str.strip)
-NOT_AN_INT = st.one_of(
+NOT_AN_INT = st.one_of(  # only a JSON integer is an id or a count: no float, string or boolean is converted
     st.none(),
     st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
-    LINE_TEXT.filter(_int_fails),
+    LINE_TEXT,
+    st.integers().map(str),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**53), 2**53).map(float),
     st.sampled_from([float("inf"), float("-inf"), float("nan")]),
     st.integers(min_value=2**63),
     st.integers(max_value=-(2**63) - 1),

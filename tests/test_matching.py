@@ -4,6 +4,7 @@ import pytest
 from setcomplete.data import split_outfits, triples_for
 from setcomplete.matching import (
     MatchConfig,
+    category_matched_negative,
     init_match_params,
     match_score,
     match_scores,
@@ -112,3 +113,23 @@ def test_score_rejects_mismatched_dim(rng):
     params = init_match_params(MatchConfig(dim=16))
     with pytest.raises(ValueError):
         match_score(random_set(rng, 2, dim=8), random_set(rng, 2, dim=8), params)
+
+
+def test_negatives_draw_what_rng_integers_draws(tiny_data):
+    """Same picks, redraws included, and the generator left in the same state."""
+    catalog, _ = tiny_data
+    by_category = {**catalog.by_category, 99: np.array([7]), 98: np.array([3, 4])}  # one-item and two-item pools
+    for seed in range(20):
+        oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        y = catalog.ids[oracle.integers(len(catalog.ids), size=6)]
+        rng.integers(len(catalog.ids), size=6)
+        y_ids, z = np.concatenate([y, [7, 3]]), np.concatenate([catalog.categories_of(y), [99, 98]])
+        expected = []
+        for item, cat in zip(y_ids, z):
+            pool = by_category[int(cat)]
+            pick = int(pool[oracle.integers(len(pool))])
+            while len(pool) > 1 and pick == int(item):
+                pick = int(pool[oracle.integers(len(pool))])
+            expected.append(pick)
+        assert category_matched_negative(y_ids, z, by_category, rng).tolist() == expected
+        assert rng.bit_generator.state == oracle.bit_generator.state

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from setcomplete.training import (
     save_match_checkpoint,
     train_cst,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TINY_TRAIN = dict(
     epochs=2, batch_size=8, dim=16, heads=4, slot_layers=1, sab_layers=1, categories=6, seed=0
@@ -208,3 +214,33 @@ def test_checkpoint_unknown_config_key_rejected(tmp_path, tiny_scorer, tiny_mode
         load(path)
     assert str(path) in str(err.value)
     assert "\n" not in str(err.value)
+
+
+# the training run of acceptance gate 10, on the session's tiny data; saves both checkpoints to argv[1]
+GATE_10_TRAINING = """
+import sys
+from pathlib import Path
+import setcomplete as sc
+from setcomplete.training import save_cst_checkpoint, save_match_checkpoint
+catalog, outfits = sc.generate_dataset(sc.GenConfig(categories=6, styles=4, catalog_size=300, outfits=400, dim=16,
+                                                    min_size=3, max_size=5, seed=11))
+scorer, _, _ = sc.train_matching(catalog, outfits, sc.MatchConfig(dim=16, epochs=2, seed=5))
+params, _ = sc.train_cst(catalog, outfits, None, sc.TrainConfig(variant="Cx", epochs=2, batch_size=8, dim=16, heads=4,
+                                                                slot_layers=1, sab_layers=1, categories=6, seed=6))
+save_match_checkpoint(Path(sys.argv[1]) / "scorer.ckpt", scorer)
+save_cst_checkpoint(Path(sys.argv[1]) / "cst.ckpt", params)
+"""
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the BLAS reads its thread count once, when numpy loads, so each count needs a fresh interpreter
+    checkpoints = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", GATE_10_TRAINING, str(out)], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        checkpoints[threads] = [(out / name).read_bytes() for name in ("scorer.ckpt", "cst.ckpt")]
+    assert checkpoints["1"] == checkpoints["2"]
