@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .matching import MatchParams, encode_graph, symmetric_score
-from .model import CHAMFER_VARIANTS, REGULARIZED, CSTParams, cst_graph, slots_graph, st_encode_graph
+from .model import CHAMFER_VARIANTS, REGULARIZED, CSTParams, check_categories, cst_graph, slots_graph, st_encode_graph
 from .sets import FeatureSet, pad_stack
 
 
@@ -178,6 +178,7 @@ def _st_step_loss(params: CSTParams, triples: list, config: LossConfig, rng: np.
     rng = rng or np.random.default_rng(0)
     inputs, tokens, steps = [], [], []
     for t in triples:
+        check_categories(t.z, params.config.categories)
         m = int(rng.integers(len(t.z)))
         prefix = t.y.features[:m]
         inputs.append(np.concatenate([t.x.features, prefix], axis=0))

@@ -94,13 +94,22 @@ def build_variant(tag: str, config: ModelConfig | None = None, seed: int = 0) ->
     return params
 
 
+def check_categories(labels, categories: int) -> None:
+    """Refuse a category id outside a table of `categories` rows; `labels` is one int or an int array."""
+    if isinstance(labels, int):  # one sequential step: no NumPy call
+        low = high = labels
+    else:
+        low, high = np.min(labels, initial=0), np.max(labels, initial=-1)
+    if low < 0 or high >= categories:
+        raise ValueError("category id outside the embedding table")
+
+
 def embed_conditions(labels, table: np.ndarray) -> FeatureSet:
     """Rows of the (categories, D) lookup table for the given category ids, order preserved."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("labels must be a nonempty 1-D list of category ids")
-    if labels.min() < 0 or labels.max() >= table.shape[0]:
-        raise ValueError("category id outside the embedding table")
+    check_categories(labels, table.shape[0])
     return FeatureSet(table[labels], element_ids=labels)
 
 
@@ -119,8 +128,7 @@ def slots_graph(params: CSTParams, labels_batch: list[np.ndarray], width: int, s
         flat = np.zeros(B * width, dtype=np.int64)
         for i, lab in enumerate(labels_batch):
             lab = np.asarray(lab, dtype=np.int64)
-            if lab.size and (lab.min() < 0 or lab.max() >= params.config.categories):
-                raise ValueError("category id outside the embedding table")
+            check_categories(lab, params.config.categories)
             flat[i * width : i * width + len(lab)] = lab
         gathered = ad.gather_rows(ad.param(params.store, "cond_table"), flat)
         z0 = ad.reshape(gathered, (B, width, dim))
@@ -230,7 +238,9 @@ def st_encode(x: FeatureSet, label: int, params: CSTParams) -> np.ndarray:
     by x's rows, the order training uses."""
     if params.variant != "st":
         raise ValueError("st_encode requires the sequential baseline variant")
-    feats = np.concatenate([params.embedding[int(label)][None], x.features], axis=0)
+    label = int(label)
+    check_categories(label, params.config.categories)
+    feats = np.concatenate([params.embedding[label][None], x.features], axis=0)
     mask = np.ones(feats.shape[0], dtype=np.float64)
     with ad.inference():
         out = st_encode_graph(params, feats[None], mask[None])

@@ -14,8 +14,7 @@ least the k-th best minus 2m can reach the top k. The second pass rescores
 those few rows in float64, bitwise as a one-thread ``features @ query``.
 Where no margin holds (non-finite or out-of-range values), every row is
 rescored. The copy costs N * D * 4 bytes plus 8 per item for its id-order
-row, next to the float64 rows kept in id order for ``similarities`` and
-``save``.
+row, next to the float64 rows kept in id order for ``save``.
 """
 
 from __future__ import annotations
@@ -32,14 +31,6 @@ from .serialize import config_from_meta, load_arrays, reading, save_arrays
 from .sets import ItemTable, l2_rows, sort_items
 
 INDEX_VERSION = 1
-# Up to this many query rows, similarities are one vector-matrix product per
-# row against a (D, N) copy of the features. OpenBLAS runs a matrix product of
-# a few rows against the whole index on all its threads, and waking threads
-# that have gone idle costs milliseconds (5 rows over 5k items on a 2-core VM:
-# 9.8 ms after 30 ms idle, 0.5 ms on one thread); the vector-matrix products
-# paid no such wake-up at 5k or 50k items. Completions ask for fewer rows
-# than an outfit holds.
-ROWWISE_MAX_ROWS = 8
 # OpenBLAS's dgemv (Haswell kernels, 0.3.31) scores rows in groups of four and
 # the last len % 4 rows of a product in a tail kernel. Measured on random
 # rows, the tail kernel's result differs from the grouped one by 1 ulp on 39%
@@ -162,21 +153,6 @@ class RetrievalIndex(ItemTable):
         # before them reproduces their similarities.
         self._tail_rows = len(self.ids) - len(self.ids) % GROUP_ROWS
         self._tail_from = max(0, self._tail_rows - GROUP_ROWS)
-
-    def similarities(self, queries: np.ndarray) -> np.ndarray:
-        """(Q, N) dot products of each query row with every indexed item."""
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.shape[0] > ROWWISE_MAX_ROWS:
-            return queries @ self.features.T
-        sims = np.empty((queries.shape[0], len(self.ids)))
-        for row, query in zip(sims, queries):
-            np.matmul(query, self._features_by_dim, out=row)
-        return sims
-
-    @cached_property
-    def _features_by_dim(self) -> np.ndarray:
-        """(D, N) copy of the features, made on the first row-wise product."""
-        return np.ascontiguousarray(self.features.T)
 
     def _spans(self, query: np.ndarray, cat: int | None, k: int, mode: str) -> tuple[list[int], list[int]]:
         """Start and end rows of the lists a query scans; `cat` is the
@@ -316,11 +292,6 @@ class RetrievalIndex(ItemTable):
             ids, sims = self._scan(query, starts, ends, k)
         pick = kernels.topk_select(sims, ids, min(k, len(ids)))
         return list(zip(ids[pick].tolist(), sims[pick].tolist()))
-
-    def query_knn_batch(self, queries: np.ndarray, k: int) -> list[np.ndarray]:
-        """Ids of the exact, unfiltered top-k neighbors of each query row."""
-        sims = self.similarities(np.asarray(queries, dtype=np.float64))
-        return [self.ids[kernels.topk_select(row, self.ids, min(k, len(self.ids)))] for row in sims]
 
     def save(self, path: str | Path) -> None:
         arrays = {"ids": self.ids, "features": self.features, "categories": self.categories}

@@ -252,6 +252,22 @@ def test_complete_ids_takes_each_row_nearest_item_within_its_label(rng):
     assert complete_ids(x, labels, st, BATCH_INDEX) == st_sequential_complete(x, labels, st, BATCH_INDEX)
 
 
+def test_every_variant_refuses_a_label_outside_the_embedding_table(rng):
+    # the index holds items of categories -1 and 6, so only the table's range can refuse them
+    cats = BATCH_INDEX.categories.copy()
+    cats[cats == 0], cats[cats == 5] = -1, CONFIG.categories
+    index = build_index(Catalog(BATCH_INDEX.ids, cats, BATCH_INDEX.features))
+    x = random_set(rng, 3)
+    st = build_variant("st", CONFIG, seed=14)
+    for params in (BATCH_PARAMS["CR"], st):
+        for label in (-1, CONFIG.categories):
+            with pytest.raises(ValueError, match="^category id outside the embedding table$"):
+                complete_ids(x, [1, label], params, index)
+    for label in (-1, CONFIG.categories, np.int64(-1)):
+        with pytest.raises(ValueError, match="^category id outside the embedding table$"):
+            st_encode(x, label, st)
+
+
 def test_complete_ids_names_the_label_no_indexed_item_has(rng):
     # without clustering the label has no list; a clustered index reads it through its category order
     keep = BATCH_INDEX.categories != 5

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from setcomplete import kernels, retrieval
-from setcomplete.data import Catalog, GenConfig, generate_dataset
+from setcomplete import evaluation, kernels, retrieval
+from setcomplete.data import Catalog, GenConfig, SplitTriple, generate_dataset
 from setcomplete.serialize import load_arrays, save_arrays
 from setcomplete.retrieval import (
-    GROUP_ROWS, MAX_POINTS_PER_CENTROID, ROWWISE_MAX_ROWS, AnnConfig, RetrievalIndex, build_index,
+    GROUP_ROWS, MAX_POINTS_PER_CENTROID, AnnConfig, RetrievalIndex, build_index,
 )
-from setcomplete.sets import l2_rows
+from setcomplete.sets import FeatureSet, l2_rows
 
 
 def make_catalog(rng, n=100, dim=8, categories=5):
@@ -34,20 +34,6 @@ def test_exact_matches_linear_scan_on_200_queries(rng):
     queries = l2_rows(rng.standard_normal((200, 8)))
     for q in queries:
         assert index.query_knn(q, k=10) == brute_force(index, q, 10)
-
-
-def test_similarities_of_few_rows_do_not_depend_on_the_batch(rng):
-    index = build_index(make_catalog(rng, n=300))
-    for count in (1, 3, ROWWISE_MAX_ROWS, ROWWISE_MAX_ROWS + 1, 40):
-        queries = l2_rows(rng.standard_normal((count, 8)))
-        sims = index.similarities(queries)
-        assert sims.shape == (count, 300)
-        assert np.max(np.abs(sims - queries @ index.features.T)) < 1e-12
-        if count <= ROWWISE_MAX_ROWS:
-            for row, q in zip(sims, queries):
-                assert np.array_equal(row, index.similarities(q[None])[0])
-        batch = index.query_knn_batch(queries, k=5)
-        assert [list(ids) for ids in batch] == [[i for i, _ in brute_force(index, q, 5)] for q in queries]
 
 
 def test_duplicate_features_tie_break_ascending_id(rng):
@@ -114,14 +100,6 @@ def test_approx_recall_monotone_in_probes():
         recalls.append(hits / (50 * 16))
     assert recalls[0] <= recalls[1] <= recalls[2]
     assert recalls[2] > 0.99
-
-
-def test_batch_query_matches_single(rng):
-    index = build_index(make_catalog(rng, n=200))
-    queries = l2_rows(rng.standard_normal((20, 8)))
-    batch = index.query_knn_batch(queries, k=5)
-    for ids, q in zip(batch, queries):
-        assert list(ids) == [i for i, _ in index.query_knn(q, k=5)]
 
 
 def test_save_load_roundtrip_bitwise(rng, tmp_path):
@@ -365,6 +343,62 @@ def adversarial_rows(rng, n, dim, scale):
     nudge = rng.random(n) < 0.3
     feats[nudge] = np.nextafter(feats[nudge], np.inf)
     return feats
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    dim=st.sampled_from([3, 8, 32]),
+    rows=st.integers(1, 20),
+    log_scale=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=5, dim=8, rows=8, log_scale=0, seed=0)
+@example(n=5, dim=8, rows=9, log_scale=0, seed=0)
+def test_top1_ids_ranks_few_rows_with_query_knn_and_more_with_one_product(n, dim, rows, log_scale, seed):
+    # repeated items and items 1 ulp apart make exact and near ties; half the
+    # queries are indexed rows, so their best score is tied by any duplicate
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    index = RetrievalIndex(rng.permutation(3 * n)[:n], adversarial_rows(rng, n, dim, scale), rng.integers(0, 3, size=n))
+    queries = np.concatenate([index.features[rng.integers(0, n, size=rows // 2)],
+                              adversarial_rows(rng, rows - rows // 2, dim, scale)])
+    for block_values in (evaluation.TOP1_BLOCK_VALUES, 2 * n):  # one block, and blocks of 2 rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "TOP1_BLOCK_VALUES", block_values)
+            got = evaluation.top1_ids(index, queries)
+            if rows <= evaluation.QUERY_KNN_MAX_ROWS:
+                assert got.tolist() == [index.query_knn(q, 1)[0][0] for q in queries]
+                assert got.tolist() == [evaluation.top1_ids(index, q[None])[0] for q in queries]
+            else:
+                step = max(1, block_values // n)
+                best = [np.argmax(queries[s : s + step] @ index.features.T, axis=1) for s in range(0, rows, step)]
+                assert got.tolist() == index.ids[np.concatenate(best)].tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    dim=st.sampled_from([3, 8, 32]),
+    k=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recall_at_k_equals_the_recall_of_query_knn_sets(n, dim, k, seed):
+    rng = np.random.default_rng(seed)
+    index = RetrievalIndex(rng.permutation(3 * n)[:n], adversarial_rows(rng, n, dim, 1.0), rng.integers(0, 3, size=n))
+    triples, preds, want = [], [], []
+    for _ in range(5):
+        size = int(rng.integers(1, 8))
+        targets = rng.choice(n, size=min(size, n - 1), replace=False)
+        truth = index.ids[targets]
+        # one output copies a target's row, so the target's duplicates tie with it
+        yhat = np.concatenate([index.features[targets[:1]], adversarial_rows(rng, len(targets) - 1, dim, 1.0)])
+        triples.append(SplitTriple(FeatureSet(rng.standard_normal((1, dim))), FeatureSet(yhat, element_ids=truth),
+                                   np.zeros(len(targets))))
+        preds.append(yhat)
+        found = {i for q in yhat for i, _ in index.query_knn(q, k)}
+        want.append(len(found & set(truth.tolist())) / len(truth))
+    assert evaluation.recall_at_k(preds, triples, index, k=k) == float(np.mean(want))
 
 
 @settings(max_examples=80, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 
 from setcomplete import autodiff as ad
 from setcomplete import evaluation
-from setcomplete.data import items_in, split_outfits, triples_for
+from setcomplete.data import Catalog, items_in, split_outfits, triples_for
 from setcomplete.model import build_variant
 from setcomplete.retrieval import build_index
 from setcomplete.serialize import load_arrays, save_arrays, write_csv
@@ -120,6 +120,16 @@ def test_unfrozen_scorer_rejected(tiny_data):
     live = init_match_params(MatchConfig(dim=16))
     with pytest.raises(ValueError):
         train_cst(catalog, outfits, live, tiny_config(variant="CR", epochs=1))
+
+
+@pytest.mark.parametrize("relabel", [-1, 6])
+def test_training_refuses_a_category_outside_the_embedding_table(tiny_data, tiny_scorer, relabel):
+    catalog, outfits = tiny_data
+    cats = np.where(catalog.categories == 0, relabel, catalog.categories)
+    bad = Catalog(catalog.ids, cats, catalog.features, catalog.styles)
+    for variant in ("CR", "st"):
+        with pytest.raises(ValueError, match="^category id outside the embedding table$"):
+            train_cst(bad, outfits, tiny_scorer, tiny_config(variant=variant, epochs=1))
 
 
 def test_cst_checkpoint_roundtrip(tmp_path):
