@@ -38,17 +38,7 @@ from .data import (
     write_catalog_jsonl,
     write_jsonl,
 )
-from .evaluation import (
-    MetricsReport,
-    category_accuracy,
-    diversity_histogram,
-    finb_eval,
-    output_features,
-    recall_at_k,
-    smd,
-    target_histogram,
-    timing_benchmark,
-)
+from .evaluation import MetricsReport, eval_metrics, finb_eval, output_features, timing_benchmark
 from .matching import MatchConfig
 from .model import VARIANTS, build_variant, complete_ids
 from .retrieval import RetrievalIndex, build_index
@@ -195,17 +185,8 @@ def cmd_eval(args) -> int:
         test = [o for o in split_outfits(outfits)["test"] if len(o.item_ids) >= 2]
         seed = args.seed or 0
         triples = triples_for(test, catalog, seed=seed)
-        preds = output_features(params, triples, index, slot_seed=seed)
-        block: dict = {
-            "recall@32": {"mean": recall_at_k(preds, triples, index, k=32), "n": len(triples)},
-            "accuracy": {"mean": category_accuracy(preds, triples, index), "n": len(triples)},
-            "diversity": diversity_histogram(preds, triples, index),
-            "diversity_truth": target_histogram(triples),
-        }
-        if args.scorer:
-            scorer, _ = load_match_checkpoint(args.scorer)
-            block["smd"] = smd(preds, triples, scorer, index=index)
-            block["smd_raw"] = smd(preds, triples, scorer)
+        scorer = load_match_checkpoint(args.scorer)[0] if args.scorer else None
+        block = eval_metrics(output_features(params, triples, index, slot_seed=seed), triples, index, scorer)
         MetricsReport(seed=seed, variants={params.variant: block}).save(out_dir)
         print(
             f"{params.variant}: recall@32 {block['recall@32']['mean']:.3f}, "

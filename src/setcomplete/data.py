@@ -372,6 +372,8 @@ def read_jsonl(path: str | Path) -> tuple[Catalog | None, list[Outfit]]:
                     raise ValueError(f"item {iid} seen with two different features")
                 if first_category != category:
                     raise ValueError(f"item {iid} seen with two different categories")
+                if iid in ids:
+                    raise ValueError(f"item {iid} appears twice in the outfit")
                 ids.append(iid)
             outfits.append(Outfit(_int64(record["outfit_id"]), ids, _int64(record.get("likes", 0))))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float in a feature

@@ -75,17 +75,25 @@ def _predictions(model, triples: list[SplitTriple], index: RetrievalIndex | None
 # -- retrieval metrics --------------------------------------------------------------
 
 
-def recall_at_k(model, triples: list[SplitTriple], index: RetrievalIndex, k: int = 32) -> float:
-    """Mean over triples of |retrieved-candidate union ∩ Y| / |Y|."""
+def _rank(model, triples: list[SplitTriple], index: RetrievalIndex, k: int = 1) -> tuple[float, float, list[list[int]]]:
+    """Recall@k, top-1 category accuracy and each triple's top-1 ids, from one
+    ``query_knn(row, k)`` ranking per output row. A ranking's first id is
+    ``query_knn(row, 1)``'s, as ``query_knn`` ranks in a total order."""
     if not triples:
         raise ValueError("no evaluation triples")
-    preds = _predictions(model, triples, index)
-    scores = []
-    for t, yhat in zip(triples, preds):
-        candidates = {i for row in yhat for i, _ in index.query_knn(row, k)}
-        truth = set(int(i) for i in t.y.element_ids)
-        scores.append(len(candidates & truth) / len(truth))
-    return float(np.mean(scores))
+    recalls, hits, top1 = [], 0, []
+    for t, yhat in zip(triples, _predictions(model, triples, index)):
+        ranked = [[i for i, _ in index.query_knn(row, k)] for row in yhat]
+        truth = set(t.y.element_ids.tolist())
+        recalls.append(len({i for ids in ranked for i in ids} & truth) / len(truth))
+        top1.append([ids[0] for ids in ranked])
+        hits += int(np.sum(index.categories_of(top1[-1]) == t.z))
+    return float(np.mean(recalls)), hits / sum(len(t.z) for t in triples), top1
+
+
+def recall_at_k(model, triples: list[SplitTriple], index: RetrievalIndex, k: int = 32) -> float:
+    """Mean over triples of |retrieved-candidate union ∩ Y| / |Y|."""
+    return _rank(model, triples, index, k)[0]
 
 
 # Up to this many query rows, top1_ids ranks each row with `query_knn`, so the
@@ -99,7 +107,7 @@ TOP1_BLOCK_VALUES = 1 << 20
 
 
 def top1_ids(index: RetrievalIndex, queries: np.ndarray) -> np.ndarray:
-    """Nearest item per query row, ties by ascending id.
+    """Nearest item per query row of a batch, ties by ascending id.
 
     Up to ``QUERY_KNN_MAX_ROWS`` rows, each row's ``query_knn(row, 1)``.
     Larger batches go through in blocks, so they never hold the whole
@@ -118,17 +126,28 @@ def top1_ids(index: RetrievalIndex, queries: np.ndarray) -> np.ndarray:
 
 def category_accuracy(model, triples: list[SplitTriple], index: RetrievalIndex) -> float:
     """Share of elements whose top-1 retrieved item has the requested category."""
-    if not triples:
-        raise ValueError("no evaluation triples")
-    preds = _predictions(model, triples, index)
-    hits, total = 0, 0
-    for t, yhat in zip(triples, preds):
-        hits += int(np.sum(index.categories_of(top1_ids(index, yhat)) == t.z))
-        total += len(t.z)
-    return hits / total
+    return _rank(model, triples, index)[1]
 
 
 # -- set-matching score difference ----------------------------------------------------
+
+
+def _smd(completions: list[np.ndarray], triples: list[SplitTriple], scorer: MatchParams, mode: str) -> dict:
+    """The distribution of g(X, completion) - g(X, Y), one sample per triple."""
+    samples = []
+    for start in range(0, len(triples), SCORE_BATCH):
+        chunk = triples[start : start + SCORE_BATCH]
+        xs, ys = [t.x.features for t in chunk], [t.y.features for t in chunk]
+        s_hat, s_true = match_scores(scorer, xs, [completions[start : start + SCORE_BATCH], ys])
+        samples.extend((s_hat - s_true).tolist())
+    arr = np.asarray(samples)
+    return {
+        "mean": float(arr.mean()),
+        "n": int(arr.size),
+        "mode": mode,
+        "percentiles": {str(p): float(np.percentile(arr, p)) for p in (5, 25, 50, 75, 95)},
+        "samples": [float(v) for v in arr],
+    }
 
 
 def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: RetrievalIndex | None = None) -> dict:
@@ -137,37 +156,35 @@ def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: Retrieval
     With an index, completions are the retrieved top-1 item features (the
     deliverable); without, the raw output features are scored directly.
     """
+    if index is not None:
+        return _smd([index.features_of(ids) for ids in _rank(model, triples, index)[2]], triples, scorer, "retrieved")
     if not triples:
         raise ValueError("no evaluation triples")
-    preds = _predictions(model, triples, index)
-    if index is not None:
-        preds = [index.features_of(top1_ids(index, y)) for y in preds]
-    samples = []
-    for start in range(0, len(triples), SCORE_BATCH):
-        chunk = triples[start : start + SCORE_BATCH]
-        chunk_pred = preds[start : start + SCORE_BATCH]
-        xs, ys = [t.x.features for t in chunk], [t.y.features for t in chunk]
-        s_hat, s_true = match_scores(scorer, xs, [chunk_pred, ys])
-        samples.extend((s_hat - s_true).tolist())
-    arr = np.asarray(samples)
-    return {
-        "mean": float(arr.mean()),
-        "n": int(arr.size),
-        "mode": "retrieved" if index is not None else "raw",
-        "percentiles": {str(p): float(np.percentile(arr, p)) for p in (5, 25, 50, 75, 95)},
-        "samples": [float(v) for v in arr],
+    return _smd(_predictions(model, triples, None), triples, scorer, "raw")
+
+
+def eval_metrics(preds, triples: list[SplitTriple], index: RetrievalIndex, scorer: MatchParams | None = None) -> dict:
+    """The `eval` command's metric block over output features, from one ranking of each row: recall@32,
+    accuracy, the retrieved and the target items' diversity, and with a scorer the retrieved and raw SMD."""
+    recall, accuracy, top1 = _rank(preds, triples, index, 32)
+    block: dict = {
+        "recall@32": {"mean": recall, "n": len(triples)},
+        "accuracy": {"mean": accuracy, "n": len(triples)},
+        "diversity": _item_histogram((i for ids in top1 for i in ids), 100),
+        "diversity_truth": target_histogram(triples),
     }
+    if scorer is not None:
+        block["smd"] = _smd([index.features_of(ids) for ids in top1], triples, scorer, "retrieved")
+        block["smd_raw"] = _smd(preds, triples, scorer, "raw")
+    return block
 
 
 def quick_val_metrics(params: CSTParams, triples, index: RetrievalIndex, scorer: MatchParams | None, k: int = 32, seed: int = 0) -> dict:
     """Per-epoch validation block: recall, accuracy and SMD of the output features."""
     preds = output_features(params, triples, index, slot_seed=seed)
-    out = {
-        "val_recall": recall_at_k(preds, triples, index, k=k),
-        "val_accuracy": category_accuracy(preds, triples, index),
-    }
-    out["val_smd"] = smd(preds, triples, scorer)["mean"] if scorer is not None else 0.0
-    return out
+    recall, accuracy, _ = _rank(preds, triples, index, k)
+    val_smd = _smd(preds, triples, scorer, "raw")["mean"] if scorer is not None else 0.0
+    return {"val_recall": recall, "val_accuracy": accuracy, "val_smd": val_smd}
 
 
 # -- fill-in-the-N-blank ---------------------------------------------------------------
@@ -282,8 +299,8 @@ def _item_histogram(items, top: int) -> dict:
 
 def diversity_histogram(model, triples: list[SplitTriple], index: RetrievalIndex, top: int = 100) -> dict:
     """Frequency of each retrieved item over all completions."""
-    preds = _predictions(model, triples, index)
-    return _item_histogram((item for yhat in preds for item in top1_ids(index, yhat)), top)
+    top1 = _rank(model, triples, index)[2] if triples else []
+    return _item_histogram((i for ids in top1 for i in ids), top)
 
 
 def target_histogram(triples: list[SplitTriple], top: int = 100) -> dict:

@@ -274,11 +274,14 @@ class RetrievalIndex(ItemTable):
         """Ranked (item_id, similarity), descending, ties by ascending id.
 
         Similarities are bitwise those of a one-thread ``features @ query``.
-        A `category_filter` that no indexed item has raises ValueError naming it.
+        A query that is not one feature-length vector, or a `category_filter`
+        that no indexed item has, raises ValueError naming it.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         query = np.asarray(query, dtype=np.float64)
+        if query.shape != (self.dim,):
+            raise ValueError(f"query has shape {query.shape}, expected ({self.dim},)")
         cat = None
         if category_filter is not None:
             cat = self._cat_pos.get(int(category_filter))

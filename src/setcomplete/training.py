@@ -143,8 +143,8 @@ def train_cst(
 
     splits = split_outfits(outfits)
     train_outfits = [o for o in splits["train"] if len(o.item_ids) >= 2]
-    if not train_outfits:
-        raise ValueError("no trainable outfits in the train split")
+    if len(train_outfits) < config.batch_size:
+        raise ValueError("dataset too small to form a single batch")
     val_outfits = [o for o in splits["val"] if len(o.item_ids) >= 2]
     val_triples = triples_for(val_outfits, catalog, seed=config.seed) if val_outfits else []
     val_index = (
@@ -177,7 +177,7 @@ def train_cst(
                 sums[key] += float(node.values)
             sums["total"] += loss
             batches += 1
-        row = {k: (sums[k] / max(batches, 1) if sums[k] else 0.0) for k in sums}
+        row = {k: (sums[k] / batches if sums[k] else 0.0) for k in sums}
         row["epoch"] = epoch
 
         if val_triples:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from setcomplete.cli import main
-from setcomplete.data import read_catalog_jsonl, read_jsonl, split_of
+from setcomplete.data import GenConfig, generate_dataset, read_catalog_jsonl, read_jsonl, split_of, split_outfits, triples_for
 from setcomplete.model import ModelConfig, build_variant, complete_ids
-from setcomplete.retrieval import build_index
+from setcomplete.retrieval import RetrievalIndex, build_index
 from setcomplete.sets import FeatureSet
 from setcomplete.training import load_cst_checkpoint, save_cst_checkpoint
 
@@ -128,6 +128,17 @@ def test_eval_writes_metrics(pipeline, capsys):
     assert "recall@32" in capsys.readouterr().out
 
 
+def test_eval_ranks_each_row_once(pipeline, tmp_path, monkeypatch):
+    root, data, scorer, checkpoint = pipeline
+    catalog, outfits = read_jsonl(data)
+    test = [o for o in split_outfits(outfits)["test"] if len(o.item_ids) >= 2]
+    rows = sum(len(t.z) for t in triples_for(test, catalog, seed=0))
+    calls, query_knn = [], RetrievalIndex.query_knn
+    monkeypatch.setattr(RetrievalIndex, "query_knn", lambda self, q, k, *a, **kw: calls.append(k) or query_knn(self, q, k, *a, **kw))
+    assert main(["eval", "--data", data, "--checkpoint", checkpoint, "--scorer", scorer, "--out", str(tmp_path)]) == 0
+    assert calls == [32] * rows
+
+
 def test_finb_command_reports_both_selectors(pipeline):
     root, data, scorer, checkpoint = pipeline
     out = root / "finb"
@@ -227,6 +238,30 @@ def test_train_cst_checkpoint_names_the_epoch_it_keeps(pipeline, tmp_path):
         want = int(pick([float(r[column]) for r in rows]))
         assert int(rows[-1]["best_epoch"]) == want
         assert load_cst_checkpoint(path)[1]["extra"]["best_epoch"] == want
+
+
+def test_train_cst_names_a_train_split_smaller_than_one_batch(pipeline, tmp_path, capsys):
+    root, data, scorer, checkpoint = pipeline
+    train_cfg = write_config(tmp_path, "train.json", {**TRAIN_CONFIG, "batch_size": 1000})
+    out = tmp_path / "cx"
+    assert main(["train-cst", "--config", train_cfg, "--variant", "Cx", "--data", data, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: dataset too small to form a single batch\n"
+    assert not (out / "cst_Cx.ckpt").exists()
+
+
+def test_complete_and_eval_name_an_index_of_another_feature_length(pipeline, tmp_path, capsys):
+    root, data, scorer, checkpoint = pipeline
+    catalog, _ = generate_dataset(GenConfig(**{**GEN_CONFIG, "dim": 8}))
+    index = tmp_path / "dim8.idx"
+    build_index(catalog).save(index)
+    query = tmp_path / "query.jsonl"
+    query.write_text(Path(data).read_text().splitlines()[0] + "\n")
+    assert main(["complete", "--index", str(index), "--query", str(query), "--labels", "1,3",
+                 "--checkpoint", checkpoint]) == 1
+    assert capsys.readouterr().err == "error: query has shape (16,), expected (8,)\n"
+    assert main(["eval", "--data", data, "--checkpoint", checkpoint, "--index", str(index),
+                 "--out", str(tmp_path / "eval")]) == 1
+    assert capsys.readouterr().err == "error: query has shape (16,), expected (8,)\n"
 
 
 def test_st_baseline_trains_and_evaluates(pipeline, capsys):

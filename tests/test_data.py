@@ -428,6 +428,23 @@ def test_read_jsonl_names_the_line_of_an_item_seen_with_two_categories(tmp_path)
     assert str(err.value) == f"{path}: line 2: item 1 seen with two different categories"
 
 
+def test_read_jsonl_names_the_line_of_an_outfit_that_holds_one_item_twice(tmp_path):
+    # such a file used to load, and training then stopped on query and target sets that were not disjoint
+    path = tmp_path / "outfits.jsonl"
+    item = {"item_id": 1, "category_id": 0, "feature": [0.0, 1.0]}
+    other = {"item_id": 2, "category_id": 1, "feature": [1.0, 0.0]}
+    records = [{"outfit_id": 0, "likes": 1, "items": [item, other]}, {"outfit_id": 1, "likes": 1, "items": [other, item, other]}]
+    # a repeat with another feature or category keeps the message of an item seen twice across lines
+    for changed, message in (({}, "item 2 appears twice in the outfit"),
+                             ({"feature": [0.5, 0.5]}, "item 2 seen with two different features"),
+                             ({"category_id": 3}, "item 2 seen with two different categories")):
+        records[1]["items"][2] = {**other, **changed}
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ValueError) as err:
+            read_jsonl(path)
+        assert str(err.value) == f"{path}: line 2: {message}"
+
+
 @pytest.mark.parametrize("read", [read_jsonl, read_catalog_jsonl])
 def test_jsonl_readers_name_a_line_that_is_not_utf8(tmp_path, read):
     path = tmp_path / "file.jsonl"

@@ -401,6 +401,40 @@ def test_recall_at_k_equals_the_recall_of_query_knn_sets(n, dim, k, seed):
     assert evaluation.recall_at_k(preds, triples, index, k=k) == float(np.mean(want))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 150),
+    dim=st.sampled_from([3, 8, 32]),
+    log_scale=st.integers(0, 10),
+    special=st.sampled_from(["none", "nan_row", "inf_query", "nan_query"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_first_id_of_every_query_knn_ranking_is_its_top_1(n, dim, log_scale, special, seed):
+    # the evaluation metrics read each row's top-1 item as the first of its top-k ranking
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    feats = adversarial_rows(rng, n, dim, scale)
+    if special == "nan_row":
+        feats[rng.integers(0, n)] = np.nan
+    index = RetrievalIndex(rng.permutation(3 * n)[:n], feats, rng.integers(0, 3, size=n))
+    queries = np.concatenate([index.features[rng.integers(0, n, size=2)], adversarial_rows(rng, 2, dim, scale)])
+    if special == "inf_query":
+        queries[-1][0] = np.inf
+    elif special == "nan_query":
+        queries[-1][-1] = np.nan
+    for q in queries:
+        top1 = index.query_knn(q, 1)[0][0]
+        assert [index.query_knn(q, k)[0][0] for k in range(1, 65)] == [top1] * 64
+
+
+def test_query_knn_names_a_query_of_the_wrong_length(rng):
+    index = build_index(make_catalog(rng, dim=8))
+    for query in (np.ones(16), np.ones(4), np.ones((1, 8)), np.float64(1.0)):
+        with pytest.raises(ValueError) as err:
+            index.query_knn(query, 1)
+        assert str(err.value) == f"query has shape {np.shape(query)}, expected (8,)"
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 150),

@@ -11,7 +11,7 @@ from setcomplete import autodiff as ad
 from setcomplete import evaluation
 from setcomplete.data import Catalog, items_in, split_outfits, triples_for
 from setcomplete.model import build_variant
-from setcomplete.retrieval import build_index
+from setcomplete.retrieval import RetrievalIndex, build_index
 from setcomplete.serialize import load_arrays, save_arrays, write_csv
 from setcomplete.training import (
     EVAL_K,
@@ -195,6 +195,30 @@ def test_best_epoch_weights_are_kept(tiny_data, tiny_scorer):
     kept = evaluation.quick_val_metrics(params, triples_for(val, catalog, seed=0),
                                         build_index(catalog, item_ids=items_in(val)), tiny_scorer, k=EVAL_K)
     assert kept["val_recall"] == recalls[history[-1]["best_epoch"]]
+
+
+def test_quick_val_metrics_ranks_each_row_once(tiny_data, tiny_scorer, tiny_model_config, monkeypatch):
+    catalog, outfits = tiny_data
+    val = [o for o in split_outfits(outfits)["val"] if len(o.item_ids) >= 2]
+    triples = triples_for(val, catalog, seed=0)
+    index = build_index(catalog, item_ids=items_in(val))
+    params = build_variant("CR", tiny_model_config, seed=0)
+    want = evaluation.quick_val_metrics(params, triples, index, tiny_scorer, k=EVAL_K)
+    calls, query_knn = [], RetrievalIndex.query_knn
+    monkeypatch.setattr(RetrievalIndex, "query_knn", lambda self, q, k, *a, **kw: calls.append(k) or query_knn(self, q, k, *a, **kw))
+    assert evaluation.quick_val_metrics(params, triples, index, tiny_scorer, k=EVAL_K) == want
+    assert calls == [EVAL_K] * sum(len(t.z) for t in triples)
+
+
+def test_training_refuses_a_train_split_smaller_than_one_batch(tiny_data):
+    # it used to run no step and return untrained parameters with a log of zero losses
+    catalog, outfits = tiny_data
+    train = [o for o in split_outfits(outfits)["train"] if len(o.item_ids) >= 2]
+    with pytest.raises(ValueError, match="^dataset too small to form a single batch$"):
+        train_cst(catalog, train[:7], None, tiny_config(variant="Cx", epochs=1))
+    params, history = train_cst(catalog, train[:8], None, tiny_config(variant="Cx", epochs=1))
+    assert history[0]["ce"] > 0.0
+    assert params.store.checksum() != build_variant("Cx", tiny_config().model_config(), seed=0).store.checksum()
 
 
 def test_without_a_val_split_the_lowest_total_epoch_is_kept(tiny_data):
