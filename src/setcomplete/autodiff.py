@@ -19,12 +19,18 @@ backward is written by hand, so a block is one node rather than a chain of
 small ones. At the set sizes served (a few rows a set) its cost is numpy's
 per-call overhead more than arithmetic, so the forward makes as few numpy
 calls as it can: weights come as one checked tuple, a mask with every key
-valid skips its pass, and residual and bias adds run in place. Everything is
-float64 and every op output is checked for NaN/Inf.
+valid skips its pass, and residual and bias adds run in place. On a padded
+batch, about half of whose rows are padding in training, the block runs its
+row-wise work on the valid query and key rows alone, gathered once; only the
+attention kernel reads the padded layout, with keys laid out (B, H, dh, N) so
+its logits product reads contiguous operands. A batch without padding rows
+skips the gather and keeps the dense work. Everything is float64 and every op
+output is checked for NaN/Inf.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import threading
@@ -456,6 +462,17 @@ def l2_normalize(a) -> Tensor:
 # A 2-D product is written a.dot(b): it calls the same BLAS routine as a @ b,
 # so the bits are the same, at a third of the call cost on a block's small
 # arrays (0.6 against 2.0 us for (3, 32) by (32, 32)).
+#
+# On a padded batch the row-wise work (projections, residuals, layer norms,
+# feed-forward) runs on the valid rows only, gathered once into a packed
+# (rows, D) array. Only the attention kernel reads the padded layout: queries
+# and values as (B, H, n, dh) and keys as (B, H, dh, N), so that the logits
+# product reads contiguous operands. A packed array is rounded up to a multiple
+# of 4 rows with copies of a padding row, so OpenBLAS computes every valid row
+# in its main kernel, as it does in a dense batch of a multiple of 4 rows (the
+# row grouping of RetrievalIndex._rescore). Those extra rows take a zero
+# gradient, so they add exactly zero to every weight gradient, and they are
+# never written to an output.
 
 # The block's weights by name, with their number of axes: (D, D) or (D,).
 MAB_WEIGHTS = (
@@ -465,20 +482,86 @@ MAB_WEIGHTS = (
 )
 
 
+def _packing(mask: np.ndarray):
+    """(rows, batch, position, count) of a (B, n) mask's valid rows, or None
+    when every row is valid.
+
+    ``rows`` are flat positions in the (B * n, D) layout, ``batch`` and
+    ``position`` the same rows in the (B, n) layout; ``count`` is the number of
+    valid rows, which come first. The rest repeat the first padding row.
+    The blocks of one forward share a few masks, so the last few packings are
+    kept by content: building a CR training step's loss packs 30 masks of 2
+    contents, and at B=32 a kept one took 0.8 us against 5.6 us to pack (one
+    thread, numpy 2.4.6).
+    """
+    return _packing_of(mask.shape, mask.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _packing_of(shape, data):
+    mask = np.frombuffer(data).reshape(shape)
+    rows = np.flatnonzero(mask)
+    count = len(rows)
+    if count == mask.size:
+        return None
+    extra = -count % 4
+    if extra:
+        rows = np.concatenate([rows, np.full(extra, np.argmin(mask))])
+    batch, position = np.divmod(rows, shape[1])
+    for a in (rows, batch, position):
+        a.flags.writeable = False
+    return rows, batch, position, count
+
+
+def _gather(x, pack):
+    """(B, n, D) rows as one (rows, D) array: the packed rows when `pack` is given."""
+    x2 = x.reshape(-1, x.shape[-1])
+    return x2 if pack is None else x2[pack[0]]
+
+
+def _heads(x2, pack, B, n, heads, keys=False):
+    """(rows, D) projections as (B, H, n, dh), or as (B, H, dh, n) for keys;
+    with `pack`, the rows it does not fill are zero."""
+    dh = x2.shape[1] // heads
+    axes = (0, 2, 3, 1) if keys else (0, 2, 1, 3)  # from (B, n, H, dh)
+    if pack is None:
+        return np.ascontiguousarray(x2.reshape(B, n, heads, dh).transpose(axes))
+    out = np.zeros((B, heads, dh, n) if keys else (B, heads, n, dh))
+    out.transpose((0, 3, 1, 2) if keys else axes)[pack[1], pack[2]] = x2.reshape(-1, heads, dh)
+    return out
+
+
+def _merge(x, pack):
+    """(B, H, n, dh) per-head rows as one (rows, D) array: the packed rows
+    when `pack` is given, else every row."""
+    rows = x.transpose(0, 2, 1, 3)
+    rows = rows if pack is None else rows[pack[1], pack[2]]
+    return rows.reshape(-1, x.shape[1] * x.shape[3])
+
+
+def _unpack(x2, pack, B, n):
+    """Packed (rows, D) values as (B, n, D) with exact zeros in the padding rows."""
+    if pack is None:
+        return x2.reshape(B, n, x2.shape[1])
+    rows, _, _, count = pack
+    out = np.zeros((B * n, x2.shape[1]))
+    out[rows[:count]] = x2[:count]
+    return out.reshape(B, n, x2.shape[1])
+
+
 def _mab_fwd(t):
     q, kv = t.parents[0].values, t.parents[1].values
     wq, wk, wv, wo, w1, b1, w2, b2, g1, c1, g2, c2 = (p.values for p in t.parents[2:])
-    key_mask, heads = t.payload
+    key_mask, heads, qpack, kpack = t.payload
     (B, M, D), N = q.shape, kv.shape[1]
-    dh = D // heads
-    q2, kv2 = q.reshape(B * M, D), kv.reshape(B * N, D)
-
-    def split(x, n):
-        return np.ascontiguousarray(x.reshape(B, n, heads, dh).transpose(0, 2, 1, 3))
-
-    qp, kp, vp = split(q2.dot(wq), M), split(kv2.dot(wk), N), split(kv2.dot(wv), N)
-    ctx, attn = kernels.attn_forward(qp, kp, vp, key_mask, 1.0 / math.sqrt(dh))
-    merged = ctx.transpose(0, 2, 1, 3).reshape(B * M, D)
+    q2 = _gather(q, qpack)
+    # a self-attention block gathers its rows once (equal masks share a cached packing)
+    kv2 = q2 if kv is q and kpack is qpack else _gather(kv, kpack)
+    qp = _heads(q2.dot(wq), qpack, B, M, heads)
+    kt = _heads(kv2.dot(wk), kpack, B, N, heads, keys=True)
+    vp = _heads(kv2.dot(wv), kpack, B, N, heads)
+    ctx, attn = kernels.attn_forward(qp, kt, vp, key_mask, 1.0 / math.sqrt(D // heads))
+    merged = _merge(ctx, qpack)
     r1 = merged.dot(wo)
     r1 += q2
     h, xhat1, rstd1 = kernels.layernorm_forward(r1, g1, c1, LN_EPS)
@@ -489,34 +572,31 @@ def _mab_fwd(t):
     r2 += b2
     r2 += h
     y, xhat2, rstd2 = kernels.layernorm_forward(r2, g2, c2, LN_EPS)
-    return y.reshape(B, M, D), (qp, kp, vp, attn, merged, h, act, xhat1, rstd1, xhat2, rstd2)
+    return _unpack(y, qpack, B, M), (q2, kv2, qp, kt, vp, attn, merged, h, act, xhat1, rstd1, xhat2, rstd2)
 
 
 def _mab_bwd(t, g):
     qt, kvt = t.parents[0], t.parents[1]
     wq, wk, wv, wo, w1, _, w2, _, g1, _, g2, _ = (p.values for p in t.parents[2:])
-    heads = t.payload[1]
-    qp, kp, vp, attn, merged, h, act, xhat1, rstd1, xhat2, rstd2 = t.aux
+    _, heads, qpack, kpack = t.payload
+    q2, kv2, qp, kt, vp, attn, merged, h, act, xhat1, rstd1, xhat2, rstd2 = t.aux
     (B, M, D), N = qt.shape, kvt.shape[1]
-    dh = D // heads
-
-    def merge(x, n):
-        return x.transpose(0, 2, 1, 3).reshape(B * n, D)
-
-    dr2, dg2, dc2 = kernels.layernorm_backward(g.reshape(B * M, D), xhat2, rstd2, g2)
+    g2d = _gather(g, qpack)
+    if qpack is not None:  # padding rows of the output are constants: the extra rows take no gradient
+        g2d[qpack[3]:] = 0.0
+    dr2, dg2, dc2 = kernels.layernorm_backward(g2d, xhat2, rstd2, g2)
     dpre = dr2.dot(w2.T)
     dpre *= act > 0.0
     dln1 = dpre.dot(w1.T)
     dln1 += dr2
     dr1, dg1, dc1 = kernels.layernorm_backward(dln1, xhat1, rstd1, g1)
-    dctx = np.ascontiguousarray(dr1.dot(wo.T).reshape(B, M, heads, dh).transpose(0, 2, 1, 3))
-    dqp, dkp, dvp = kernels.attn_backward(dctx, qp, kp, vp, attn, 1.0 / math.sqrt(dh))
-    dqp, dkp, dvp = merge(dqp, M), merge(dkp, N), merge(dvp, N)
-    dq = (dr1 + dqp.dot(wq.T)).reshape(B, M, D) if qt.requires_grad else None
-    dkv = (dkp.dot(wk.T) + dvp.dot(wv.T)).reshape(B, N, D) if kvt.requires_grad else None
+    dctx = _heads(dr1.dot(wo.T), qpack, B, M, heads)
+    dqp, dkp, dvp = kernels.attn_backward(dctx, qp, kt, vp, attn, 1.0 / math.sqrt(D // heads))
+    dqp, dkp, dvp = _merge(dqp, qpack), _merge(dkp, kpack), _merge(dvp, kpack)
+    dq = _unpack(dr1 + dqp.dot(wq.T), qpack, B, M) if qt.requires_grad else None
+    dkv = _unpack(dkp.dot(wk.T) + dvp.dot(wv.T), kpack, B, N) if kvt.requires_grad else None
     if not any(p.requires_grad for p in t.parents[2:]):
         return (dq, dkv) + (None,) * len(MAB_WEIGHTS)  # frozen weights: skip their products
-    q2, kv2 = qt.values.reshape(B * M, D), kvt.values.reshape(B * N, D)
     return (
         dq, dkv, q2.T.dot(dqp), kv2.T.dot(dkp), kv2.T.dot(dvp), merged.T.dot(dr1),
         h.T.dot(dpre), np.add.reduce(dpre, axis=0), act.T.dot(dr2), np.add.reduce(dr2, axis=0),
@@ -528,21 +608,30 @@ _FORWARD["mab"] = _mab_fwd
 _BACKWARD["mab"] = _mab_bwd
 
 
-def mab(q, kv, key_mask: np.ndarray, weights, heads: int) -> Tensor:
+def mab(q, kv, key_mask: np.ndarray, weights, heads: int, query_mask: np.ndarray | None = None) -> Tensor:
     """One attention block: (B, M, D) queries attend to (B, N, D) key/values.
 
     key_mask (B, N) marks valid kv rows with 1.0; masked rows get exactly zero
-    attention weight. `weights` is a tuple of the block's weight tensors in
-    MAB_WEIGHTS order, which a caller can build once and pass to every call.
+    attention weight. query_mask (B, M) marks valid query rows the same way;
+    the output's padding rows are exact zeros and pass no gradient back. A
+    self-attention block passes its one mask as both. `weights` is a tuple of
+    the block's weight tensors in MAB_WEIGHTS order, which a caller can build
+    once and pass to every call.
     """
     if len(weights) != len(MAB_WEIGHTS):
         raise ValueError(f"an attention block takes {len(MAB_WEIGHTS)} weights, got {len(weights)}")
+    q, kv = as_tensor(q), as_tensor(kv)
     key_mask = np.asarray(key_mask, dtype=np.float64)
-    if key_mask.min() > 0.0:
+    query_mask = None if query_mask is None else np.asarray(query_mask, dtype=np.float64)
+    if key_mask.shape != kv.shape[:2] or (query_mask is not None and query_mask.shape != q.shape[:2]):
+        raise ValueError("an attention mask must have one entry per row of its set")
+    kpack = _packing(key_mask)
+    if kpack is None:
         key_mask = None  # every key valid: the kernel skips the mask pass
     elif key_mask.sum(axis=1).min() <= 0:
         raise ValueError("attention needs at least one valid key per batch entry")
-    return _op("mab", (as_tensor(q), as_tensor(kv), *weights), (key_mask, int(heads)))
+    qpack = None if query_mask is None else _packing(query_mask)
+    return _op("mab", (q, kv, *weights), (key_mask, int(heads), qpack, kpack))
 
 
 # -- chamfer (fused, masked, batched) ------------------------------------------------

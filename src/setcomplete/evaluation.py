@@ -132,21 +132,32 @@ def category_accuracy(model, triples: list[SplitTriple], index: RetrievalIndex) 
 # -- set-matching score difference ----------------------------------------------------
 
 
-def _smd(completions: list[np.ndarray], triples: list[SplitTriple], scorer: MatchParams, mode: str) -> dict:
-    """The distribution of g(X, completion) - g(X, Y), one sample per triple."""
-    samples = []
+def _score_gaps(completion_lists, triples: list[SplitTriple], scorer: MatchParams) -> list[np.ndarray]:
+    """g(X, completion) - g(X, Y) per triple, one array per list of completions.
+
+    Each chunk is one `match_scores` call over the completion lists and the
+    targets, so each X is encoded and each g(X, Y) scored once, however many
+    lists there are. Each list is encoded as its own batch, so a list's
+    gaps do not depend on the others.
+    """
+    gaps = [[] for _ in completion_lists]
     for start in range(0, len(triples), SCORE_BATCH):
         chunk = triples[start : start + SCORE_BATCH]
-        xs, ys = [t.x.features for t in chunk], [t.y.features for t in chunk]
-        s_hat, s_true = match_scores(scorer, xs, [completions[start : start + SCORE_BATCH], ys])
-        samples.extend((s_hat - s_true).tolist())
-    arr = np.asarray(samples)
+        lists = [c[start : start + SCORE_BATCH] for c in completion_lists] + [[t.y.features for t in chunk]]
+        *scores, s_true = match_scores(scorer, [t.x.features for t in chunk], lists)
+        for out, s_hat in zip(gaps, scores):
+            out.append(s_hat - s_true)
+    return [np.concatenate(g) for g in gaps]
+
+
+def _smd_report(gaps: np.ndarray, mode: str) -> dict:
+    """The distribution of score gaps, one sample per triple."""
     return {
-        "mean": float(arr.mean()),
-        "n": int(arr.size),
+        "mean": float(gaps.mean()),
+        "n": int(gaps.size),
         "mode": mode,
-        "percentiles": {str(p): float(np.percentile(arr, p)) for p in (5, 25, 50, 75, 95)},
-        "samples": [float(v) for v in arr],
+        "percentiles": {str(p): float(np.percentile(gaps, p)) for p in (5, 25, 50, 75, 95)},
+        "samples": gaps.tolist(),
     }
 
 
@@ -157,10 +168,11 @@ def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: Retrieval
     deliverable); without, the raw output features are scored directly.
     """
     if index is not None:
-        return _smd([index.features_of(ids) for ids in _rank(model, triples, index)[2]], triples, scorer, "retrieved")
+        retrieved = [index.features_of(ids) for ids in _rank(model, triples, index)[2]]
+        return _smd_report(_score_gaps([retrieved], triples, scorer)[0], "retrieved")
     if not triples:
         raise ValueError("no evaluation triples")
-    return _smd(_predictions(model, triples, None), triples, scorer, "raw")
+    return _smd_report(_score_gaps([_predictions(model, triples, None)], triples, scorer)[0], "raw")
 
 
 def eval_metrics(preds, triples: list[SplitTriple], index: RetrievalIndex, scorer: MatchParams | None = None) -> dict:
@@ -174,8 +186,9 @@ def eval_metrics(preds, triples: list[SplitTriple], index: RetrievalIndex, score
         "diversity_truth": target_histogram(triples),
     }
     if scorer is not None:
-        block["smd"] = _smd([index.features_of(ids) for ids in top1], triples, scorer, "retrieved")
-        block["smd_raw"] = _smd(preds, triples, scorer, "raw")
+        retrieved, raw = _score_gaps([[index.features_of(ids) for ids in top1], preds], triples, scorer)
+        block["smd"] = _smd_report(retrieved, "retrieved")
+        block["smd_raw"] = _smd_report(raw, "raw")
     return block
 
 
@@ -183,7 +196,7 @@ def quick_val_metrics(params: CSTParams, triples, index: RetrievalIndex, scorer:
     """Per-epoch validation block: recall, accuracy and SMD of the output features."""
     preds = output_features(params, triples, index, slot_seed=seed)
     recall, accuracy, _ = _rank(preds, triples, index, k)
-    val_smd = _smd(preds, triples, scorer, "raw")["mean"] if scorer is not None else 0.0
+    val_smd = float(_score_gaps([preds], triples, scorer)[0].mean()) if scorer is not None else 0.0
     return {"val_recall": recall, "val_accuracy": accuracy, "val_smd": val_smd}
 
 

@@ -2,8 +2,9 @@
 
 A block is one tape op, :func:`autodiff.mab`: attention, residual, layer
 norm and feed-forward run as one node with a hand-written backward.
-:func:`mab_graph` adds that node for a padded batch; SAB is the same block
-with queries and key/values one tensor. The 12 weight nodes belong to the
+:func:`mab_graph` adds that node for a padded batch, whose row-wise work
+then runs on the valid rows only; SAB is the same block with queries and
+key/values one tensor and one mask. The 12 weight nodes belong to the
 block's :class:`AttentionParams`, built once and shared by every call, so a
 graph holds them once however often it uses the block. The public
 single-set functions lift a :class:`FeatureSet` to a batch of one and
@@ -76,14 +77,16 @@ def init_attention_params(
 
 
 def mab_graph(
-    q: ad.Tensor, kv: ad.Tensor, key_mask: np.ndarray, params: AttentionParams
+    q: ad.Tensor, kv: ad.Tensor, key_mask: np.ndarray, params: AttentionParams,
+    query_mask: np.ndarray | None = None,
 ) -> ad.Tensor:
     """Multi-head attention block over padded batches, as one tape node.
 
     q: (B, M, D) queries, kv: (B, N, D) key/values, key_mask: (B, N) with 1.0
-    marking valid kv rows. Returns (B, M, D).
+    marking valid kv rows, query_mask: (B, M) marking valid query rows (None:
+    every row). Returns (B, M, D), with exact zeros in the padding query rows.
     """
-    return ad.mab(q, kv, key_mask, params.weights(), params.heads)
+    return ad.mab(q, kv, key_mask, params.weights(), params.heads, query_mask)
 
 
 def _check_pair(queries: FeatureSet, keyvalues: FeatureSet, params: AttentionParams) -> None:

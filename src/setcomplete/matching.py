@@ -84,12 +84,12 @@ def init_match_params(config: MatchConfig | None = None, seed: int | None = None
 def encode_graph(params: MatchParams, feats, mask: np.ndarray) -> ad.Tensor:
     x = ad.as_tensor(feats)
     for layer in params.encoder:
-        x = mab_graph(x, x, mask, layer)
+        x = mab_graph(x, x, mask, layer, mask)
     return x
 
 
 def direction_graph(params: MatchParams, a: ad.Tensor, mask_a, b: ad.Tensor, mask_b) -> ad.Tensor:
-    crossed = mab_graph(a, b, mask_b, params.cross)
+    crossed = mab_graph(a, b, mask_b, params.cross, mask_a)
     pooled = ad.masked_mean(crossed, mask_a)
     h = ad.relu(ad.add(ad.matmul(pooled, ad.param(params.store, "head_w1")), ad.param(params.store, "head_b1")))
     out = ad.add(ad.matmul(h, ad.param(params.store, "head_w2")), ad.param(params.store, "head_b2"))

@@ -156,9 +156,9 @@ def cst_graph(
     x = ad.const(x_feats)
     y = z0
     for layer in params.slot_stack:
-        y = mab_graph(y, x, x_mask, layer)
+        y = mab_graph(y, x, x_mask, layer, z_mask)
     for layer in params.sab_stack:
-        y = mab_graph(y, y, z_mask, layer)
+        y = mab_graph(y, y, z_mask, layer, z_mask)
     return ad.l2_normalize(y)
 
 
@@ -226,7 +226,7 @@ def st_encode_graph(params: CSTParams, feats, mask: np.ndarray) -> ad.Tensor:
     """Encode a padded batch with the SAB stack, pool, project to unit rows."""
     x = ad.as_tensor(feats)
     for layer in params.sab_stack:
-        x = mab_graph(x, x, mask, layer)
+        x = mab_graph(x, x, mask, layer, mask)
     pooled = ad.masked_mean(x, mask)
     h = ad.relu(ad.add(ad.matmul(pooled, ad.param(params.store, "head_w1")), ad.param(params.store, "head_b1")))
     out = ad.add(ad.matmul(h, ad.param(params.store, "head_w2")), ad.param(params.store, "head_b2"))

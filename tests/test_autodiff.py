@@ -312,6 +312,83 @@ def test_attention_block_matches_numpy_reference(rng):
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
+def _ragged_mask(rng, batch, n, low):
+    sizes = rng.integers(low, n + 1, size=batch)
+    return (np.arange(n)[None, :] < sizes[:, None]).astype(np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 12), m=st.integers(1, 6), n=st.integers(1, 6), dim=st.sampled_from([4, 8]),
+    self_attention=st.booleans(), frozen=st.booleans(), full=st.booleans(), seed=st.integers(0, 2**32 - 1),
+)
+def test_query_mask_runs_the_block_on_the_valid_rows_only(batch, m, n, dim, self_attention, frozen, full, seed):
+    # with a query mask the block gathers the valid rows, works on them alone
+    # and scatters back: the valid output rows and every gradient agree with
+    # the call without one, and the padding rows are exact zeros
+    rng = np.random.default_rng(seed)
+    store = _mab_store(rng, dim)
+    if frozen:
+        store.freeze()
+    inputs = ad.ParamStore()
+    n = m if self_attention else n
+    inputs.add("q", rng.standard_normal((batch, m, dim)))
+    inputs.add("kv", rng.standard_normal((batch, n, dim)))
+    kmask = np.ones((batch, n)) if full else _ragged_mask(rng, batch, n, 1)
+    qmask = kmask if self_attention else np.ones((batch, m)) if full else _ragged_mask(rng, batch, m, 0)
+    # the packed output's padding rows are constants, so the gradient that
+    # reaches them must not flow back; the dense call masks it instead
+    c = rng.standard_normal((batch, m, dim))
+
+    def build(query_mask, weights):
+        q = ad.param(inputs, "q")
+        kv = q if self_attention else ad.param(inputs, "kv")
+        out = ad.mab(q, kv, kmask, _mab_weights(store), 2, query_mask)
+        return out, ad.Graph(ad.tsum(ad.mul(out, ad.const(weights))))
+
+    packed, packed_graph = build(qmask, c)
+    dense, dense_graph = build(None, c * qmask[:, :, None])
+    pad = qmask == 0.0
+    assert np.all(packed.values[pad] == 0.0)
+    assert np.max(np.abs(packed.values - dense.values)[~pad], initial=0.0) < 1e-12
+    for grads_of in (inputs, store):
+        loss, grads = ad.eval_and_grad(packed_graph, grads_of)
+        loss_dense, grads_dense = ad.eval_and_grad(dense_graph, grads_of)
+        assert abs(loss - loss_dense) < 1e-12
+        for name in grads:
+            assert np.max(np.abs(grads[name] - grads_dense[name])) < 1e-12, name
+    _, grads = ad.eval_and_grad(packed_graph, inputs)
+    assert np.all(grads["q"][qmask == 0.0] == 0.0)
+    assert np.all(grads["kv"][kmask == 0.0] == 0.0)
+    block = packed_graph.root.parents[0].parents[0]
+    dq, dkv = ad._BACKWARD["mab"](block, rng.standard_normal(block.shape))[:2]
+    assert np.all(dq[qmask == 0.0] == 0.0) and np.all(dkv[kmask == 0.0] == 0.0)
+
+
+def test_fd_attention_with_ragged_query_and_key_masks(rng):
+    # every parent of the block, as a cross block and as a self-attention
+    # block, with padding rows on both sides; 3 + 2 valid queries make a
+    # packed array of 5 rows, rounded up to 8 with copies of a padding row
+    store = _mab_store(rng, dim=4)
+    store.add("q", rng.standard_normal((2, 4, 4)))
+    store.add("kv", rng.standard_normal((2, 5, 4)))
+    qmask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+    kmask = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, 0.0]])
+    c = rng.standard_normal((2, 4, 4))
+
+    def cross():
+        out = ad.mab(ad.param(store, "q"), ad.param(store, "kv"), kmask, _mab_weights(store), 2, qmask)
+        return ad.tmean(ad.mul(out, ad.const(c)))
+
+    def self_attention():
+        q = ad.param(store, "q")
+        out = ad.mab(q, q, qmask, _mab_weights(store), 2, qmask)
+        return ad.tsum(ad.mul(out, ad.const(c)))
+
+    _fd(cross, store)
+    _fd(self_attention, store)
+
+
 def test_attention_block_non_finite_output_names_the_op(rng):
     store = _mab_store(rng, dim=4)
     q = np.full((1, 2, 4), 1e308)
@@ -331,6 +408,14 @@ def test_attention_block_rejects_missing_or_stray_weights(rng):
     for weights in (missing, stray):
         with pytest.raises(ValueError, match="weights"):
             ad.mab(x, x, np.ones((1, 2)), weights, 2)
+
+
+def test_attention_block_rejects_a_mask_of_the_wrong_shape(rng):
+    store = _mab_store(rng, dim=4)
+    q, kv = ad.const(rng.standard_normal((2, 3, 4))), ad.const(rng.standard_normal((2, 5, 4)))
+    for key_mask, query_mask in ((np.ones((2, 3)), None), (np.ones(5), None), (np.ones((2, 5)), np.ones((2, 5)))):
+        with pytest.raises(ValueError, match="one entry per row"):
+            ad.mab(q, kv, key_mask, _mab_weights(store), 2, query_mask)
 
 
 def test_every_op_has_a_forward_and_a_backward():

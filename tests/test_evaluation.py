@@ -115,6 +115,24 @@ def tiny_scorer16():
     return params.freeze()
 
 
+def test_eval_metrics_scores_each_target_once_per_chunk(eval_world, tiny_scorer16, monkeypatch):
+    # one match_scores call per chunk scores the retrieved items, the raw
+    # features and the targets; each SMD report equals smd's own
+    import setcomplete.evaluation as evaluation
+
+    _, _, triples, index = eval_world
+    rng = np.random.default_rng(4)
+    preds = [rng.standard_normal((len(t.z), 8)) for t in triples]
+    monkeypatch.setattr(evaluation, "SCORE_BATCH", 16)
+    retrieved = smd(preds, triples, tiny_scorer16, index=index)
+    raw = smd(preds, triples, tiny_scorer16)
+    calls, match_scores = [], evaluation.match_scores
+    monkeypatch.setattr(evaluation, "match_scores", lambda *a, **kw: calls.append(len(a[2])) or match_scores(*a, **kw))
+    block = evaluation.eval_metrics(preds, triples, index, tiny_scorer16)
+    assert calls == [3] * 4  # 60 triples in chunks of 16
+    assert block["smd"] == retrieved and block["smd_raw"] == raw
+
+
 def test_metrics_of_an_st_model_equal_those_of_its_output_features(eval_world, tiny_scorer16):
     _, _, triples, index = eval_world
     st = build_variant("st", ModelConfig(dim=8, heads=2, slot_layers=1, sab_layers=1, categories=5), seed=3)

@@ -8,8 +8,9 @@ from setcomplete import kernels
 
 
 def _attention_inputs(rng, b=3, h=2, m=4, n=6, dh=8):
+    # keys come transposed, (B, H, dh, N)
     q = rng.standard_normal((b, h, m, dh))
-    k = rng.standard_normal((b, h, n, dh))
+    k = rng.standard_normal((b, h, dh, n))
     v = rng.standard_normal((b, h, n, dh))
     mask = (rng.random((b, n)) > 0.3).astype(np.float64)
     mask[:, 0] = 1.0
@@ -27,6 +28,37 @@ def test_attention_masked_keys_get_exact_zero_weight(rng):
     _, w = kernels.attn_forward(q, k, v, mask, 0.3)
     masked = w * (1.0 - mask[:, None, None, :])
     assert masked.max() == 0.0
+
+
+def test_attention_reads_keys_transposed(rng):
+    q, k, v, mask = _attention_inputs(rng)
+    ctx, w = kernels.attn_forward(q, k, v, mask, 0.3)
+    logits = np.einsum("bhmd,bhdn->bhmn", q, k) * 0.3 + np.where(mask > 0, 0.0, -np.inf)[:, None, None, :]
+    expected = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    expected /= expected.sum(axis=-1, keepdims=True)
+    assert np.max(np.abs(w - expected)) < 1e-12
+    assert np.max(np.abs(ctx - expected @ v)) < 1e-12
+
+
+def test_attention_backward_matches_finite_differences(rng):
+    # dq, dk and dv come back in the (B, H, n, dh) row layout; dk is the
+    # gradient of the transposed key operand, transposed back
+    q, k, v, mask = _attention_inputs(rng, b=2, h=2, m=3, n=4, dh=3)
+    c = rng.standard_normal((2, 2, 3, 3))
+    _, w = kernels.attn_forward(q, k, v, mask, 0.7)
+    dq, dk, dv = kernels.attn_backward(c, q, k, v, w, 0.7)
+    assert dq.shape == q.shape and dk.shape == k.swapaxes(-1, -2).shape and dv.shape == v.shape
+    for arr, grad in ((q, dq), (k, dk.swapaxes(-1, -2)), (v, dv)):
+        flat, step = arr.reshape(-1), 1e-6
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + step
+            up = (kernels.attn_forward(q, k, v, mask, 0.7)[0] * c).sum()
+            flat[i] = keep - step
+            down = (kernels.attn_forward(q, k, v, mask, 0.7)[0] * c).sum()
+            flat[i] = keep
+            gi = np.ascontiguousarray(grad).reshape(-1)[i]
+            assert abs(gi - (up - down) / (2.0 * step)) / max(1.0, abs(gi)) < 1e-5
 
 
 def test_topk_orders_by_score_then_id():

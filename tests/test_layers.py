@@ -3,7 +3,7 @@ import pytest
 
 from setcomplete import autodiff as ad
 from setcomplete.layers import AttentionParams, init_attention_params, mab, mab_graph, sab, slot_attention_layer
-from setcomplete.sets import FeatureSet
+from setcomplete.sets import FeatureSet, pad_stack
 
 
 def make_params(dim=8, heads=2, seed=0, prefix="blk"):
@@ -201,3 +201,20 @@ def test_in_place_updates_reach_the_next_forward(rng):
     other = make_params(seed=2)
     _load_params(params.store, other.store.params)
     assert np.array_equal(_block_output(params, q, kv, mask), _block_output(other, q, kv, mask))
+
+
+@pytest.mark.parametrize("self_attention", [False, True])
+def test_ragged_batch_rows_equal_each_sets_own_block(rng, self_attention):
+    # a padded batch with its query mask runs each set's rows as the
+    # single-set block does; its padding rows are exact zeros
+    params = make_params()
+    qs = [rng.standard_normal((m, 8)) for m in (1, 3, 2, 3, 1)]
+    kvs = qs if self_attention else [rng.standard_normal((n, 8)) for n in (2, 1, 4, 4, 3)]
+    q, q_mask = pad_stack(qs)
+    kv, kv_mask = pad_stack(kvs)
+    with ad.inference():
+        out = mab_graph(ad.const(q), ad.const(kv), kv_mask, params, q_mask).values
+    assert np.all(out[q_mask == 0.0] == 0.0)
+    for i, (qi, kvi) in enumerate(zip(qs, kvs)):
+        single = sab(FeatureSet(qi), params) if self_attention else mab(FeatureSet(qi), FeatureSet(kvi), params)
+        assert np.max(np.abs(out[i, : len(qi)] - single.features)) < 1e-12
