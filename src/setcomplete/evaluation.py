@@ -96,11 +96,11 @@ def recall_at_k(model, triples: list[SplitTriple], index: RetrievalIndex, k: int
     return _rank(model, triples, index, k)[0]
 
 
-# Up to this many query rows, top1_ids ranks each row with `query_knn`, so the
-# rows of one completion (at most max_size - 1) get the items `complete_ids`
-# gives them. Larger batches take the argmax of one float64 product per block
-# of rows: over 863 rows and 5k items that took 6.4 ms against 26 ms row by
-# row, with equal ids (one BLAS thread of a 2-core VM).
+# Up to this many query rows, top1_ids gives each row `query_knn(row, 1)` over
+# the whole index, so a completion's rows (at most max_size - 1) get the same
+# ids in any batch. Larger batches take the argmax of one float64 product per
+# block of rows: over 863 rows and 5k items that took 6.4 ms against 26 ms row
+# by row, with equal ids (one BLAS thread of a 2-core VM).
 QUERY_KNN_MAX_ROWS = 8
 # Similarities held at once by top1_ids: 2**20 float64 values, 8 MB.
 TOP1_BLOCK_VALUES = 1 << 20

@@ -145,30 +145,13 @@ def layernorm_backward(g, xhat, rstd, gamma):
 # ---------------------------------------------------------------------------
 
 
-# Below this many scores one full lexsort is cheaper than the partition. The
-# measured crossover (random scores, one thread) lies between 640 and 832
-# scores for k = 1, 8, 32 and 128 alike: k=1 of 64 costs 3.4 vs 12.5 us,
-# k=1 of 448 12.2 vs 16.8 us, k=1 of 1,610 85 vs 20 us.
-TOPK_LEXSORT_MAX = 700
-
-
 def topk_select(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k best entries, scores descending, ids break ties.
+    """Positions of the k best entries, scores descending, ids break ties:
+    ``np.lexsort((ids, -scores))[:k]``, NaN scores last.
 
-    The result is ``np.lexsort((ids, -scores))[:k]``, NaN scores last. From
-    TOPK_LEXSORT_MAX scores up, a partition finds the k-th best score; every
-    position scoring at least that much (all ties at the cut included) is
-    then lexsorted, so only that slice is sorted, not all n scores.
+    One full sort: retrieval ranks only the rows its float32 screen keeps,
+    usually k plus a few near-ties.
     """
-    scores = _c(scores)
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    k = int(k)
-    if TOPK_LEXSORT_MAX <= scores.shape[0] and 0 < k < scores.shape[0]:
-        cut = scores[np.argpartition(-scores, k - 1)[:k]].min()
-        pool = np.flatnonzero(scores >= cut)
-        # fewer than k pass only when NaN scores fill the partition (cut is NaN)
-        if len(pool) >= k:
-            return pool[np.lexsort((ids[pool], -scores[pool]))[:k]]
     return np.lexsort((ids, -scores))[:k]
 
 

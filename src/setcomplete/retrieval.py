@@ -20,8 +20,8 @@ row, next to the float64 rows kept in id order for ``save``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +94,14 @@ def _kmeans(features: np.ndarray, config: AnnConfig) -> tuple[np.ndarray, np.nda
     return centroids, labels
 
 
+def _integer(value, name: str) -> int:
+    """`value` as a Python int; anything but a Python or numpy integer raises ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class RetrievalIndex(ItemTable):
     """Immutable set of items searchable by feature similarity.
 
@@ -158,12 +166,11 @@ class RetrievalIndex(ItemTable):
         """Start and end rows of the lists a query scans; `cat` is the
         filtered category's position in ``_cats``, or None.
 
-        Exact mode scans every list as one span, or its category's list in an
-        index without clustering (a clustered index reads a category through
-        ``_category_rows``). Approximate mode scans the category's lists (all
-        lists, unfiltered) in the clusters whose centroids are nearest:
-        ``ann.probes`` of them, and more in centroid order until
-        min(k, |category|) items are found.
+        Exact mode scans every list as one span, or its category's list in
+        every cluster: one span per cluster, a single one without clustering.
+        Approximate mode scans the category's lists (all lists, unfiltered)
+        in the clusters whose centroids are nearest: ``ann.probes`` of them,
+        and more in centroid order until min(k, |category|) items are found.
         """
         if mode not in ("exact", "approx"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -172,7 +179,7 @@ class RetrievalIndex(ItemTable):
         if mode == "exact":
             if cat is None:  # every list, as one span
                 return [0], [len(self.ids)]
-            return [int(self._bounds[lo])], [int(self._bounds[hi])]
+            return self._bounds[lo:-1:width].tolist(), self._bounds[hi::width].tolist()
         if self.centroids is None:
             raise ValueError("index was built without clustering")
         sims = self.centroids @ query
@@ -213,52 +220,23 @@ class RetrievalIndex(ItemTable):
                 sims[fix] = (self.features[self._tail_from :] @ query)[rows[fix] - self._tail_from]
         return sims
 
-    @cached_property
-    def _category_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """List rows in (category, cluster, id) order, and where each category starts.
+    def _scan(self, query: np.ndarray, starts: list[int], ends: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and float64 similarities of the span rows that can reach the top k.
 
-        Made on the first filtered exact query of a clustered index: that
-        query then reads its category's rows, one span in every cluster, with
-        one gather of a slice of these rows.
-        """
-        width = len(self._cats)
-        clusters = (len(self._bounds) - 1) // width
-        category = np.repeat(np.tile(np.arange(width), clusters), np.diff(self._bounds))
-        order = np.argsort(category, kind="stable")
-        return order, np.searchsorted(category[order], np.arange(width + 1))
-
-    def _scan_rows(self, query: np.ndarray, pos: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ids and float64 similarities of the list rows `pos` that can reach the top k.
-
-        The rows are gathered and scored in float32 by one product. With the
+        The rows are scored in float32: one span as a slice of the copy, spans
+        averaging under GATHER_SPAN_ROWS rows as gathered rows in one product,
+        and longer ones by one product per span into one buffer. With the
         k-th best of those scores t, a row scoring below t - 2m is beaten by k
         rows on the float64 score, so only the rest are rescored. Without a
         margin m, or with k at least the row count, every row is rescored.
         """
-        margin = self._margin(query) if k < len(pos) else None
-        if margin is not None:
-            pos = pos[kernels.screen(self._list_f32[pos] @ query.astype(np.float32), k, 2.0 * margin)]
-        rows = self._list_rows[pos]
-        return self.ids[rows], self._rescore(rows, query)
-
-    def _scan(self, query: np.ndarray, starts: list[int], ends: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_scan_rows` over the rows of the spans, in order.
-
-        Many short spans are gathered as rows. One span is scored as a slice
-        of the copy, and many long ones one product per span into one buffer.
-        """
         lengths = [e - s for s, e in zip(starts, ends)]
         total = sum(lengths)
-        if len(starts) > 1 and total < GATHER_SPAN_ROWS * len(starts):
-            shift = np.subtract(starts, np.cumsum(lengths)) + lengths  # copy row = buffer position + its span's shift
-            return self._scan_rows(query, np.repeat(shift, lengths) + np.arange(total), k)
         margin = self._margin(query) if k < total else None
-        if margin is None:  # every row survives
-            pos = np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])
-        elif len(starts) == 1:
+        if margin is not None and len(starts) == 1:
             scores = self._list_f32[starts[0] : ends[0]] @ query.astype(np.float32)
             pos = kernels.screen(scores, k, 2.0 * margin) + starts[0]
-        else:
+        elif margin is not None and total >= GATHER_SPAN_ROWS * len(starts):
             query32 = query.astype(np.float32)
             offsets = np.cumsum(lengths)
             shift = np.subtract(starts, offsets) + lengths  # copy row = buffer position + its span's shift
@@ -267,6 +245,10 @@ class RetrievalIndex(ItemTable):
                 np.matmul(self._list_f32[s:e], query32, out=scores[n : n + e - s])
             keep = kernels.screen(scores, k, 2.0 * margin)
             pos = keep + shift[np.searchsorted(offsets, keep, side="right")]
+        else:  # short spans, gathered as rows; without a margin every row survives
+            pos = np.repeat(np.subtract(starts, np.cumsum(lengths)) + lengths, lengths) + np.arange(total)
+            if margin is not None:
+                pos = pos[kernels.screen(self._list_f32[pos] @ query.astype(np.float32), k, 2.0 * margin)]
         rows = self._list_rows[pos]
         return self.ids[rows], self._rescore(rows, query)
 
@@ -274,9 +256,10 @@ class RetrievalIndex(ItemTable):
         """Ranked (item_id, similarity), descending, ties by ascending id.
 
         Similarities are bitwise those of a one-thread ``features @ query``.
-        A query that is not one feature-length vector, or a `category_filter`
-        that no indexed item has, raises ValueError naming it.
+        A non-integer or out-of-range `k` or `category_filter`, or a query
+        that is not one feature-length vector, raises ValueError naming it.
         """
+        k = _integer(k, "k")
         if k < 1:
             raise ValueError("k must be at least 1")
         query = np.asarray(query, dtype=np.float64)
@@ -284,16 +267,12 @@ class RetrievalIndex(ItemTable):
             raise ValueError(f"query has shape {query.shape}, expected ({self.dim},)")
         cat = None
         if category_filter is not None:
-            cat = self._cat_pos.get(int(category_filter))
+            category_filter = _integer(category_filter, "category_filter")
+            cat = self._cat_pos.get(category_filter)
             if cat is None:
-                raise ValueError(f"no indexed item has category {int(category_filter)}")
-        if mode == "exact" and cat is not None and self.centroids is not None:
-            order, first = self._category_rows
-            ids, sims = self._scan_rows(query, order[first[cat] : first[cat + 1]], k)
-        else:
-            starts, ends = self._spans(query, cat, k, mode)
-            ids, sims = self._scan(query, starts, ends, k)
-        pick = kernels.topk_select(sims, ids, min(k, len(ids)))
+                raise ValueError(f"no indexed item has category {category_filter}")
+        ids, sims = self._scan(query, *self._spans(query, cat, k, mode), k)
+        pick = kernels.topk_select(sims, ids, k)
         return list(zip(ids[pick].tolist(), sims[pick].tolist()))
 
     def save(self, path: str | Path) -> None:
@@ -320,6 +299,9 @@ class RetrievalIndex(ItemTable):
             missing, unknown = sorted(want - set(arrays)), sorted(set(arrays) - want)
             if missing or unknown:
                 raise ValueError(f"index arrays missing {missing}, unknown {unknown}")
+            for name in ("ids", "categories"):  # sort_items rejects arrays that are not 1-D
+                if arrays[name].dtype != np.int64:
+                    raise ValueError(f"field {name!r} must hold int64 values, got {arrays[name].dtype}")
             features = arrays["features"]
             if features.ndim != 2:
                 raise ValueError(f"field 'features' must be 2-D, got shape {features.shape}")

@@ -1,4 +1,7 @@
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,11 +9,24 @@ from pathlib import Path
 import setcomplete
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def test_every_public_name_resolves():
     missing = [name for name in setcomplete.__all__ if not hasattr(setcomplete, name)]
     assert not missing
+
+
+def test_readme_names_only_code_that_exists():
+    # every backticked `module.name` of the package, and every backticked
+    # ALL_CAPS constant, must name something the modules define
+    modules = {m.name: importlib.import_module(f"setcomplete.{m.name}") for m in pkgutil.iter_modules(setcomplete.__path__)}
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    named = [m.groups() for span in spans for m in re.finditer(r"(?<![\w.])([a-z_]+)\.(\w+)", span) if m[1] in modules]
+    constants = [span for span in spans if re.fullmatch(r"[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+", span)]
+    assert named and constants
+    assert [f"{mod}.{name}" for mod, name in named if not hasattr(modules[mod], name)] == []
+    assert [c for c in constants if not any(hasattr(mod, c) for mod in modules.values())] == []
 
 
 def test_importing_the_package_and_cli_leaves_scipy_unloaded():

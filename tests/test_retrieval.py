@@ -61,14 +61,21 @@ def test_k_larger_than_pool_truncates(rng):
 def test_empty_pool_is_an_error(rng):
     index = build_index(make_catalog(rng))
     q = l2_rows(rng.standard_normal((1, 8)))[0]
-    with pytest.raises(ValueError):
-        index.query_knn(q, k=1, category_filter=99)
+    # a fractional or string filter is rejected, not truncated to category 2
+    for category_filter in (99, 2.7, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="category") as err:
+            index.query_knn(q, k=1, category_filter=category_filter)
+        assert "\n" not in str(err.value)
+    assert index.query_knn(q, k=1, category_filter=np.int32(2)) == index.query_knn(q, k=1, category_filter=2)
 
 
 def test_invalid_k_rejected(rng):
     index = build_index(make_catalog(rng))
-    with pytest.raises(ValueError):
-        index.query_knn(index.features[0], k=0)
+    for k in (0, -3, 2.5, "3", None):
+        with pytest.raises(ValueError, match="^k ") as err:
+            index.query_knn(index.features[0], k=k)
+        assert "\n" not in str(err.value)
+    assert index.query_knn(index.features[0], k=np.int64(3)) == index.query_knn(index.features[0], k=3)
 
 
 def test_singleton_clusters_equal_exact(rng):
@@ -231,6 +238,19 @@ def _unknown_ann_key(arrays, meta):
     meta["ann"]["depth"] = 3
 
 
+def _fractional_ids(arrays, meta):
+    arrays["ids"] = arrays["ids"] + 0.5
+
+
+def _huge_id(arrays, meta):
+    arrays["ids"] = arrays["ids"].astype(np.float64)
+    arrays["ids"][-1] = 1e30
+
+
+def _float_categories(arrays, meta):
+    arrays["categories"] = arrays["categories"].astype(np.float64)
+
+
 @pytest.mark.parametrize("edit, field", [
     (_cut_assignments, "assignments"),
     (_stray_cluster, "assignments"),
@@ -238,8 +258,11 @@ def _unknown_ann_key(arrays, meta):
     (_narrow_centroids, "centroids"),
     (_drop("features"), "features"),
     (_unknown_ann_key, "depth"),
+    (_fractional_ids, "ids"),
+    (_huge_id, "ids"),
+    (_float_categories, "categories"),
 ], ids=["assignments-cut", "assignments-out-of-range", "centroids-missing", "centroids-width",
-        "features-missing", "ann-unknown-key"])
+        "features-missing", "ann-unknown-key", "ids-fractional", "ids-huge", "categories-float"])
 def test_load_rejects_malformed_index(rng, tmp_path, edit, field):
     path = tmp_path / "index.bin"
     build_index(make_catalog(rng, n=200), AnnConfig(clusters=8, probes=2, iters=2, seed=0)).save(path)
