@@ -158,10 +158,14 @@ def inference():
         _MODE.inference = previous
 
 
-def _check_finite(op: str, values: np.ndarray) -> None:
+def _finite(values: np.ndarray) -> bool:
     # A finite sum proves every value finite; only a sum that met a NaN or
     # Inf, or overflowed, needs the elementwise test. Call under np.errstate.
-    if not math.isfinite(np.add.reduce(values, axis=None)) and not np.isfinite(values).all():
+    return math.isfinite(np.add.reduce(values, axis=None)) or bool(np.isfinite(values).all())
+
+
+def _check_finite(op: str, values: np.ndarray) -> None:
+    if not _finite(values):
         raise GradientError(f"non-finite values in forward of op {op!r}")
 
 
@@ -770,9 +774,10 @@ def eval_and_grad(graph: Graph, params: ParamStore):
     for node in graph.nodes:
         if node.op == "param" and node.store is params and id(node) in by_id:
             grads[node.name] = grads[node.name] + by_id[id(node)]
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise GradientError(f"non-finite gradient for parameter {name!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, g in grads.items():
+            if not _finite(g):
+                raise GradientError(f"non-finite gradient for parameter {name!r}")
     return float(loss), grads
 
 

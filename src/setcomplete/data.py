@@ -61,7 +61,7 @@ class Catalog(ItemTable):
 
     def __init__(self, ids, categories, features, styles=None):
         styles = np.full(len(ids), -1) if styles is None else styles
-        self.ids, self.features, self.categories, self.styles = sort_items(ids, features, categories, styles)
+        self.ids, self.features, self.categories, self.styles = sort_items(ids, features, categories, styles=styles)
         self.by_category: dict[int, np.ndarray] = {
             int(c): self.ids[self.categories == c] for c in np.unique(self.categories)
         }

@@ -77,16 +77,18 @@ def _predictions(model, triples: list[SplitTriple], index: RetrievalIndex | None
 
 def _rank(model, triples: list[SplitTriple], index: RetrievalIndex, k: int = 1) -> tuple[float, float, list[list[int]]]:
     """Recall@k, top-1 category accuracy and each triple's top-1 ids, from one
-    ``query_knn(row, k)`` ranking per output row. A ranking's first id is
-    ``query_knn(row, 1)``'s, as ``query_knn`` ranks in a total order."""
+    ``ranked_ids(rows, k)`` call over every output row. A ranking's first id
+    is ``query_knn(row, 1)``'s, as ``query_knn`` ranks in a total order."""
     if not triples:
         raise ValueError("no evaluation triples")
+    preds = _predictions(model, triples, index)
+    ranked = iter(index.ranked_ids(np.concatenate(preds), k))
     recalls, hits, top1 = [], 0, []
-    for t, yhat in zip(triples, _predictions(model, triples, index)):
-        ranked = [[i for i, _ in index.query_knn(row, k)] for row in yhat]
+    for t, yhat in zip(triples, preds):
+        rows = [next(ranked) for _ in yhat]
         truth = set(t.y.element_ids.tolist())
-        recalls.append(len({i for ids in ranked for i in ids} & truth) / len(truth))
-        top1.append([ids[0] for ids in ranked])
+        recalls.append(len({i for ids in rows for i in ids} & truth) / len(truth))
+        top1.append([ids[0] for ids in rows])
         hits += int(np.sum(index.categories_of(top1[-1]) == t.z))
     return float(np.mean(recalls)), hits / sum(len(t.z) for t in triples), top1
 
@@ -96,32 +98,11 @@ def recall_at_k(model, triples: list[SplitTriple], index: RetrievalIndex, k: int
     return _rank(model, triples, index, k)[0]
 
 
-# Up to this many query rows, top1_ids gives each row `query_knn(row, 1)` over
-# the whole index, so a completion's rows (at most max_size - 1) get the same
-# ids in any batch. Larger batches take the argmax of one float64 product per
-# block of rows: over 863 rows and 5k items that took 6.4 ms against 26 ms row
-# by row, with equal ids (one BLAS thread of a 2-core VM).
-QUERY_KNN_MAX_ROWS = 8
-# Similarities held at once by top1_ids: 2**20 float64 values, 8 MB.
-TOP1_BLOCK_VALUES = 1 << 20
-
-
 def top1_ids(index: RetrievalIndex, queries: np.ndarray) -> np.ndarray:
-    """Nearest item per query row of a batch, ties by ascending id.
-
-    Up to ``QUERY_KNN_MAX_ROWS`` rows, each row's ``query_knn(row, 1)``.
-    Larger batches go through in blocks, so they never hold the whole
-    (rows, items) similarity matrix; the index keeps ids ascending with rows,
-    so argmax's first-row tie-break is the ascending-id rule.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.shape[0] <= QUERY_KNN_MAX_ROWS:
-        return np.array([index.query_knn(row, 1)[0][0] for row in queries], dtype=index.ids.dtype)
-    step = max(1, TOP1_BLOCK_VALUES // len(index))
-    best = np.empty(queries.shape[0], dtype=np.int64)
-    for start in range(0, queries.shape[0], step):
-        best[start : start + step] = np.argmax(queries[start : start + step] @ index.features.T, axis=1)
-    return index.ids[best]
+    """Nearest item per query row of a batch, ties by ascending id: each
+    row's ``query_knn(row, 1)``, whatever else the batch holds, from one
+    ``ranked_ids`` call."""
+    return np.array([ids[0] for ids in index.ranked_ids(queries, 1)], dtype=index.ids.dtype)
 
 
 def category_accuracy(model, triples: list[SplitTriple], index: RetrievalIndex) -> float:

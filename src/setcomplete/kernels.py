@@ -186,6 +186,24 @@ def screen(scores: np.ndarray, k: int, margin: float) -> np.ndarray:
     return keep if pool is None else pool[keep]
 
 
+def screen_rows(scores: np.ndarray, k: int, margins: list[float]) -> tuple[list[int], np.ndarray]:
+    """How many scores each row of an (R, L) float32 block keeps, and their
+    ascending positions, row after row.
+
+    Row r keeps what ``screen(scores[r], k, margins[r])`` keeps: every score
+    if its margin is infinite. At k = 1 a block of several rows goes through
+    in one pass: each row's cut is its maximum minus its margin, rounded to
+    the nearest float32 as ``screen`` rounds it. Otherwise rows are screened
+    one by one.
+    """
+    if k == 1 and len(scores) > 1:
+        cuts = np.subtract(scores.max(axis=1), margins, dtype=np.float64).astype(np.float32)
+        row, col = np.divmod(np.flatnonzero(scores >= cuts[:, None]), scores.shape[1])
+        return np.bincount(row, minlength=len(scores)).tolist(), col
+    cols = [screen(scores[r], k, margins[r]) for r in range(len(margins))]  # zip over an array's rows costs more
+    return [len(c) for c in cols], np.concatenate(cols) if len(cols) > 1 else cols[0]
+
+
 # ---------------------------------------------------------------------------
 # nearest-centroid assignment (squared euclidean, expanded form)
 # ---------------------------------------------------------------------------

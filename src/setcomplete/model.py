@@ -269,9 +269,9 @@ def complete_ids(x: FeatureSet, labels, params: CSTParams, index, slot_seed: int
 
     The sequential baseline runs `st_sequential_complete`; the one-shot
     variants run one `complete_batch` inference and take each output row's
-    nearest item within its label.
+    nearest item within its label, from one ``ranked_ids`` call.
     """
     if params.variant == "st":
         return st_sequential_complete(x, labels, params, index)
     (rows,) = complete_batch([x], [labels], params, slot_seed)
-    return [int(index.query_knn(row, k=1, category_filter=int(label))[0][0]) for row, label in zip(rows, labels)]
+    return [ids[0] for ids in index.ranked_ids(rows, 1, category_filters=[int(label) for label in labels])]

@@ -8,17 +8,20 @@ the query (k-means, fixed iterations, seeded). Ranking ties break by
 ascending item id so results form a total order.
 
 A query scores its lists in two passes. The first reads a float32 copy of
-the features, half the bytes of the float64 rows. Each float32 score is
-within a proven margin m of the float64 one, so only the rows scoring at
-least the k-th best minus 2m can reach the top k. The second pass rescores
-those few rows in float64, bitwise as a one-thread ``features @ query``.
-Where no margin holds (non-finite or out-of-range values), every row is
-rescored. The copy costs N * D * 4 bytes plus 8 per item for its id-order
-row, next to the float64 rows kept in id order for ``save``.
+the features, half the bytes of the float64 rows, laid out by dimension so
+that a block of query rows scores a list with one product. Each float32
+score is within a proven margin m of the float64 one, so only the rows
+scoring at least the k-th best minus 2m can reach the top k. The second
+pass rescores those few rows in float64, bitwise as a one-thread
+``features @ query``. Where no margin holds (non-finite or out-of-range
+values), every row is rescored. The copy costs N * D * 4 bytes plus 8 per
+item for its id-order row, next to the float64 rows kept in id order for
+``save``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -46,6 +49,8 @@ GROUP_ROWS = 4
 GATHER_SPAN_ROWS = 100
 # Rows cast to the float32 copy at a time.
 COPY_BLOCK = 4096
+# Float32 scores held at once by ranked_ids: 2**20 values, 4 MB.
+RANK_BLOCK_SCORES = 1 << 20
 # k-means updates its centroids on at most this many rows per cluster, a
 # seeded sample of a larger index; FAISS's `max_points_per_centroid` default
 # (Johnson et al., "Billion-scale similarity search with GPUs", 2019). Over
@@ -118,7 +123,7 @@ class RetrievalIndex(ItemTable):
         centroids: np.ndarray | None = None,
         assignments: np.ndarray | None = None,
     ):
-        self.ids, self.features, self.categories, assignments = sort_items(ids, features, categories, assignments)
+        self.ids, self.features, self.categories, assignments = sort_items(ids, features, categories, assignments=assignments)
         self.ann = ann
         self.centroids = centroids
         self.assignments = assignments
@@ -132,13 +137,13 @@ class RetrievalIndex(ItemTable):
         self._build_lists()
 
     def _build_lists(self) -> None:
-        """Lists: float32 features in (cluster, category, id) order, with the
-        id-order row of each (``_list_rows``).
+        """Lists: float32 features in (cluster, category, id) order, stored by
+        dimension as a (D, N) array, with the id-order row of each (``_list_rows``).
 
         List (c, j), for cluster c and the j-th category in ``_cats``, holds
-        rows ``_bounds[c * W + j]`` to ``_bounds[c * W + j + 1]`` (W categories);
-        cluster c is rows ``_bounds[c * W]`` to ``_bounds[(c + 1) * W]``.
-        Without clustering, every item is in cluster 0.
+        columns ``_bounds[c * W + j]`` to ``_bounds[c * W + j + 1]`` (W
+        categories); cluster c is columns ``_bounds[c * W]`` to
+        ``_bounds[(c + 1) * W]``. Without clustering, every item is in cluster 0.
         """
         width = len(self._cats)
         key = np.searchsorted(self._cats, self.categories)
@@ -150,10 +155,10 @@ class RetrievalIndex(ItemTable):
         self._bounds = np.zeros(clusters * width + 1, dtype=np.int64)
         np.cumsum(np.bincount(key, minlength=clusters * width), out=self._bounds[1:])
         self._list_rows = order
-        self._list_f32 = np.empty(self.features.shape, dtype=np.float32)
+        self._list_f32 = np.empty(self.features.shape[::-1], dtype=np.float32)
         with np.errstate(over="ignore"):  # values past float32 get no margin
             for s in range(0, len(order), COPY_BLOCK):  # no features-sized temporary
-                self._list_f32[s : s + COPY_BLOCK] = self.features[order[s : s + COPY_BLOCK]]
+                self._list_f32[:, s : s + COPY_BLOCK] = self.features[order[s : s + COPY_BLOCK]].T
             # the largest row norm; NaN if any row holds NaN
             self._norm_max = math.sqrt(np.max(np.einsum("ij,ij->i", self.features, self.features), initial=0.0))
         # A full scan takes its last N % GROUP_ROWS rows, the largest ids, from
@@ -162,15 +167,26 @@ class RetrievalIndex(ItemTable):
         self._tail_rows = len(self.ids) - len(self.ids) % GROUP_ROWS
         self._tail_from = max(0, self._tail_rows - GROUP_ROWS)
 
-    def _spans(self, query: np.ndarray, cat: int | None, k: int, mode: str) -> tuple[list[int], list[int]]:
-        """Start and end rows of the lists a query scans; `cat` is the
-        filtered category's position in ``_cats``, or None.
+    def _category(self, category_filter) -> int | None:
+        """Position in ``_cats`` of a filtered category, or None without a filter."""
+        if category_filter is None:
+            return None
+        category_filter = _integer(category_filter, "category_filter")
+        cat = self._cat_pos.get(category_filter)
+        if cat is None:
+            raise ValueError(f"no indexed item has category {category_filter}")
+        return cat
+
+    def _spans(self, query: np.ndarray | None, cat: int | None, k: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end columns of the lists a query scans, as int64 arrays;
+        `cat` is the filtered category's position in ``_cats``, or None.
 
         Exact mode scans every list as one span, or its category's list in
         every cluster: one span per cluster, a single one without clustering.
         Approximate mode scans the category's lists (all lists, unfiltered)
         in the clusters whose centroids are nearest: ``ann.probes`` of them,
         and more in centroid order until min(k, |category|) items are found.
+        Only approximate mode reads the query.
         """
         if mode not in ("exact", "approx"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -178,8 +194,8 @@ class RetrievalIndex(ItemTable):
         lo, hi = (0, width) if cat is None else (cat, cat + 1)
         if mode == "exact":
             if cat is None:  # every list, as one span
-                return [0], [len(self.ids)]
-            return self._bounds[lo:-1:width].tolist(), self._bounds[hi::width].tolist()
+                return self._bounds[:1], self._bounds[-1:]
+            return self._bounds[lo:-1:width], self._bounds[hi::width]
         if self.centroids is None:
             raise ValueError("index was built without clustering")
         sims = self.centroids @ query
@@ -187,10 +203,11 @@ class RetrievalIndex(ItemTable):
         starts, ends = self._bounds[order + lo], self._bounds[order + hi]
         found = np.cumsum(ends - starts)
         probes = max(self.ann.probes, int(np.searchsorted(found, min(k, found[-1]))) + 1)
-        return starts[:probes].tolist(), ends[:probes].tolist()
+        return starts[:probes], ends[:probes]
 
-    def _margin(self, query: np.ndarray) -> float | None:
-        """Bound on |float32 score - float64 score| over every row, or None.
+    def _margins(self, queries: np.ndarray) -> list[float]:
+        """Per row of the (R, D) `queries`, a bound on |float32 score - float64
+        score| over every indexed row; infinite where none holds.
 
         Casting x and q to float32 and a float32 dot product over D terms,
         in any summation order, give sum_i x_i q_i (1 + t_i) with
@@ -203,11 +220,13 @@ class RetrievalIndex(ItemTable):
         float32's normal range whose product it can hold; otherwise, and
         for NaN rows (their norm is NaN), there is none.
         """
-        qn, xn, dim = math.sqrt(query @ query), self._norm_max, self.features.shape[1]
-        if not (2.0**-126 <= qn < 2.0**126 and 2.0**-126 <= xn < 2.0**126 and qn * xn < 2.0**126):
-            return None
+        xn, dim = self._norm_max, self.features.shape[1]
+        if not 2.0**-126 <= xn < 2.0**126:
+            return [math.inf] * len(queries)
         gamma = (dim + 4) * 2.0**-24 / (1.0 - (dim + 4) * 2.0**-24)
-        return gamma * qn * xn + 2.0**-149 * (dim + math.sqrt(dim) * (qn + xn))
+        norms = [math.sqrt(query @ query) for query in queries]
+        return [gamma * qn * xn + 2.0**-149 * (dim + math.sqrt(dim) * (qn + xn))
+                if 2.0**-126 <= qn < 2.0**126 and qn * xn < 2.0**126 else math.inf for qn in norms]
 
     def _rescore(self, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
         """Float64 similarities of the id-order `rows`, bitwise as a one-thread ``features @ query``."""
@@ -220,37 +239,93 @@ class RetrievalIndex(ItemTable):
                 sims[fix] = (self.features[self._tail_from :] @ query)[rows[fix] - self._tail_from]
         return sims
 
-    def _scan(self, query: np.ndarray, starts: list[int], ends: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ids and float64 similarities of the span rows that can reach the top k.
+    def _ranked(self, rows: np.ndarray, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and float64 similarities of the best k of the id-order `rows`, ranked."""
+        ids, sims = self.ids[rows], self._rescore(rows, query)
+        pick = kernels.topk_select(sims, ids, k)
+        return ids[pick], sims[pick]
 
-        The rows are scored in float32: one span as a slice of the copy, spans
-        averaging under GATHER_SPAN_ROWS rows as gathered rows in one product,
-        and longer ones by one product per span into one buffer. With the
-        k-th best of those scores t, a row scoring below t - 2m is beaten by k
-        rows on the float64 score, so only the rest are rescored. Without a
-        margin m, or with k at least the row count, every row is rescored.
+    def _scan(self, queries: np.ndarray, starts: np.ndarray, ends: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
+        """The id-order item rows of the spans that can reach each query's top
+        k, query after query, with how many each query keeps.
+
+        Every row of the (R, D) `queries` reads the same spans, so the block is
+        scored in float32 by one product: over one span, a slice of the copy;
+        over spans averaging under GATHER_SPAN_ROWS rows, their gathered
+        columns; over longer spans, one product per span into one buffer.
+        With a query's k-th best score t and its margin m, a row scoring below
+        t - 2m is beaten by k rows on the float64 score, so the screen drops
+        it. A query without a margin keeps every row, and so does every query
+        when k is at least the row count.
         """
-        lengths = [e - s for s, e in zip(starts, ends)]
-        total = sum(lengths)
-        margin = self._margin(query) if k < total else None
-        if margin is not None and len(starts) == 1:
-            scores = self._list_f32[starts[0] : ends[0]] @ query.astype(np.float32)
-            pos = kernels.screen(scores, k, 2.0 * margin) + starts[0]
-        elif margin is not None and total >= GATHER_SPAN_ROWS * len(starts):
-            query32 = query.astype(np.float32)
-            offsets = np.cumsum(lengths)
-            shift = np.subtract(starts, offsets) + lengths  # copy row = buffer position + its span's shift
-            scores = np.empty(total, dtype=np.float32)
-            for s, e, n in zip(starts, ends, (offsets - lengths).tolist()):
-                np.matmul(self._list_f32[s:e], query32, out=scores[n : n + e - s])
-            keep = kernels.screen(scores, k, 2.0 * margin)
-            pos = keep + shift[np.searchsorted(offsets, keep, side="right")]
-        else:  # short spans, gathered as rows; without a margin every row survives
-            pos = np.repeat(np.subtract(starts, np.cumsum(lengths)) + lengths, lengths) + np.arange(total)
-            if margin is not None:
-                pos = pos[kernels.screen(self._list_f32[pos] @ query.astype(np.float32), k, 2.0 * margin)]
-        rows = self._list_rows[pos]
-        return self.ids[rows], self._rescore(rows, query)
+        lengths = ends - starts
+        offsets = np.cumsum(lengths)
+        shift = starts - offsets + lengths  # copy column = position in the spans' scores + its span's shift
+        total = int(offsets[-1])
+        margins = self._margins(queries) if k < total else [math.inf] * len(queries)
+        if min(margins) == math.inf:
+            pos = np.repeat(shift, lengths) + np.arange(total)
+            return [total] * len(queries), self._list_rows[np.tile(pos, len(queries))]
+        if max(margins) == math.inf:  # those queries score 0 instead of overflowing float32
+            queries = np.where(np.isinf(margins)[:, None], 0.0, queries)
+        q32, slack = queries.astype(np.float32), [2.0 * m for m in margins]
+        if len(starts) == 1:
+            counts, col = kernels.screen_rows(q32 @ self._list_f32[:, starts[0] : ends[0]], k, slack)
+            pos = col + starts[0]
+        elif total >= GATHER_SPAN_ROWS * len(starts):
+            scores = np.empty((len(queries), total), dtype=np.float32)
+            for s, e, n in zip(starts.tolist(), ends.tolist(), (offsets - lengths).tolist()):
+                np.matmul(q32, self._list_f32[:, s:e], out=scores[:, n : n + e - s])
+            counts, col = kernels.screen_rows(scores, k, slack)
+            pos = col + shift[np.searchsorted(offsets, col, side="right")]
+        else:
+            gathered = np.repeat(shift, lengths) + np.arange(total)
+            counts, col = kernels.screen_rows(q32 @ self._list_f32[:, gathered], k, slack)
+            pos = gathered[col]
+        return counts, self._list_rows[pos]
+
+    def ranked_ids(self, queries: np.ndarray, k: int, category_filters=None) -> list[list[int]]:
+        """Each query row's ranked item ids in exact mode: row r's equal
+        ``[i for i, _ in query_knn(queries[r], k, category_filter=category_filters[r])]``.
+
+        `category_filters` is None (no row filtered) or one category id or
+        None per row. Rows with the same filter read the same spans, so they
+        are screened together, one product per block of at most about
+        RANK_BLOCK_SCORES float32 scores; only the survivors are rescored,
+        row by row. A k=1 row whose screen keeps one item row b takes b's id
+        without a rescore: every other row i scored s_i < s_b - 2m, so its
+        float64 score x_i <= s_i + m < s_b - m <= x_b. So b is the strict
+        float64 maximum, first in the float64 ranking whatever the ids.
+        Bad `k`, `queries` or filters raise ValueError as in ``query_knn``.
+        """
+        k = _integer(k, "k")
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        queries = np.asarray(queries, dtype=np.float64)
+        if queries.ndim != 2 or queries.shape[1] != self.dim:  # named as query_knn names one row
+            raise ValueError(f"query has shape {queries.shape[1:]}, expected ({self.dim},)")
+        if category_filters is None:
+            groups = {None: list(range(len(queries)))}
+        else:
+            if len(category_filters) != len(queries):
+                raise ValueError(f"{len(category_filters)} category filters for {len(queries)} query rows")
+            groups = {}
+            for r, f in enumerate(category_filters):
+                groups.setdefault(self._category(f), []).append(r)
+        ranked: list = [None] * len(queries)
+        for cat, members in groups.items():
+            starts, ends = self._spans(None, cat, k, "exact")
+            step = max(1, RANK_BLOCK_SCORES // int(ends.sum() - starts.sum()))
+            for b in range(0, len(members), step):
+                block = members[b : b + step]
+                counts, rows = self._scan(queries[block], starts, ends, k)
+                bounds = [0, *itertools.accumulate(counts)]
+                for r, s, e in zip(block, bounds, bounds[1:]):
+                    if k == 1 and e - s == 1:
+                        ranked[r] = [int(self.ids[rows[s]])]
+                    else:
+                        ranked[r] = self._ranked(rows[s:e], queries[r], k)[0].tolist()
+        return ranked
 
     def query_knn(self, query: np.ndarray, k: int, category_filter: int | None = None, mode: str = "exact") -> list[tuple[int, float]]:
         """Ranked (item_id, similarity), descending, ties by ascending id.
@@ -265,15 +340,10 @@ class RetrievalIndex(ItemTable):
         query = np.asarray(query, dtype=np.float64)
         if query.shape != (self.dim,):
             raise ValueError(f"query has shape {query.shape}, expected ({self.dim},)")
-        cat = None
-        if category_filter is not None:
-            category_filter = _integer(category_filter, "category_filter")
-            cat = self._cat_pos.get(category_filter)
-            if cat is None:
-                raise ValueError(f"no indexed item has category {category_filter}")
-        ids, sims = self._scan(query, *self._spans(query, cat, k, mode), k)
-        pick = kernels.topk_select(sims, ids, k)
-        return list(zip(ids[pick].tolist(), sims[pick].tolist()))
+        cat = self._category(category_filter)
+        _, rows = self._scan(query[None], *self._spans(query, cat, k, mode), k)
+        ids, sims = self._ranked(rows, query, k)
+        return list(zip(ids.tolist(), sims.tolist()))
 
     def save(self, path: str | Path) -> None:
         arrays = {"ids": self.ids, "features": self.features, "categories": self.categories}

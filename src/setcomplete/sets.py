@@ -75,32 +75,46 @@ def l2_rows(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(n, 1e-12)
 
 
-def sort_items(ids, features, categories, extra=None):
+def sort_items(ids, features, categories, **extra):
     """Item arrays in ascending-id order: int64 ids, float64 (N, D) features,
-    int64 categories and an optional int64 per-item `extra` column.
+    int64 categories and at most one optional int64 per-item column passed
+    by name (``styles=...``, ``assignments=...``; None stays None).
 
     The arrays are read-only. Input already in that order, type and layout
     is returned as read-only views of the caller's arrays, which stay
-    writable. Raises ValueError when there are no items, the arrays do not
-    align or an id repeats.
+    writable. Raises ValueError naming the field when an integer column
+    holds a value that is not an integer (0.5, NaN, 1e30), and when there
+    are no items, the arrays do not align or an id repeats.
     """
-    ids = np.asarray(ids, dtype=np.int64)
+    [(name, column)] = extra.items() or [("extra", None)]
+    ids, categories = _integers(ids, "ids"), _integers(categories, "categories")
     features = np.ascontiguousarray(features, dtype=np.float64)
-    categories = np.asarray(categories, dtype=np.int64)
-    extra = None if extra is None else np.asarray(extra, dtype=np.int64)
+    column = None if column is None else _integers(column, name)
     if (ids.ndim != 1 or features.ndim != 2 or features.shape[0] != len(ids) or categories.shape != ids.shape
-            or (extra is not None and extra.shape != ids.shape)):
+            or (column is not None and column.shape != ids.shape)):
         raise ValueError("ids, features and categories must align")
     if len(ids) == 0:
         raise ValueError("no items")
     if np.any(ids[1:] <= ids[:-1]):
         order = np.argsort(ids, kind="stable")
         ids, features, categories = ids[order], features[order], categories[order]
-        extra = None if extra is None else extra[order]
+        column = None if column is None else column[order]
         repeated = ids[1:][ids[1:] == ids[:-1]]
         if len(repeated):
             raise ValueError(f"duplicate item id {repeated[0]}")
-    return tuple(None if a is None else _read_only(a) for a in (ids, features, categories, extra))
+    return tuple(None if a is None else _read_only(a) for a in (ids, features, categories, column))
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """`values` as int64, a view of int64 input; a value that int64 does not hold exactly raises ValueError naming the field."""
+    values = np.asarray(values)
+    if values.dtype == np.int64:
+        return values
+    with np.errstate(invalid="ignore"):  # NaN and values past int64 cast to garbage, caught below
+        cast = values.astype(np.int64)
+    if not np.array_equal(cast, values):
+        raise ValueError(f"field {name!r} must hold integers, got {values[cast != values][0].item()!r}")
+    return cast
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -52,6 +52,19 @@ def test_non_scalar_loss_rejected():
         ad.eval_and_grad(ad.Graph(node), store)
 
 
+def test_gradient_check_passes_a_finite_sum_overflow_and_names_a_non_finite_parameter():
+    # w's gradient is c, or c + c when w is used twice: finite values whose
+    # sum overflows, then values that overflow themselves
+    store = ad.ParamStore()
+    store.add("w", np.full(2, 1e-10))
+    c = np.full(2, 1e308)
+    term = ad.tsum(ad.mul(ad.param(store, "w"), ad.const(c)))
+    _, grads = ad.eval_and_grad(ad.Graph(term), store)
+    assert np.array_equal(grads["w"], c)
+    with np.errstate(over="ignore"), pytest.raises(ad.GradientError, match="^non-finite gradient for parameter 'w'$"):
+        ad.eval_and_grad(ad.Graph(ad.add(term, ad.tsum(ad.mul(ad.param(store, "w"), ad.const(c))))), store)
+
+
 def test_nan_in_forward_raises():
     with pytest.raises(ad.GradientError):
         ad.scale(ad.const(np.array([1e308])), 1e308)

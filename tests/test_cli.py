@@ -133,10 +133,11 @@ def test_eval_ranks_each_row_once(pipeline, tmp_path, monkeypatch):
     catalog, outfits = read_jsonl(data)
     test = [o for o in split_outfits(outfits)["test"] if len(o.item_ids) >= 2]
     rows = sum(len(t.z) for t in triples_for(test, catalog, seed=0))
-    calls, query_knn = [], RetrievalIndex.query_knn
+    calls, ranked_ids, query_knn = [], RetrievalIndex.ranked_ids, RetrievalIndex.query_knn
+    monkeypatch.setattr(RetrievalIndex, "ranked_ids", lambda self, q, k, *a: calls.append((len(q), k)) or ranked_ids(self, q, k, *a))
     monkeypatch.setattr(RetrievalIndex, "query_knn", lambda self, q, k, *a, **kw: calls.append(k) or query_knn(self, q, k, *a, **kw))
     assert main(["eval", "--data", data, "--checkpoint", checkpoint, "--scorer", scorer, "--out", str(tmp_path)]) == 0
-    assert calls == [32] * rows
+    assert calls == [(rows, 32)]
 
 
 def test_finb_command_reports_both_selectors(pipeline):

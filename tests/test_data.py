@@ -622,6 +622,27 @@ def test_catalog_and_index_share_one_id_sorted_table(tmp_path_factory, ids, seed
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("bad", [0.5, np.nan, 1e30])
+@pytest.mark.parametrize("field", ["ids", "categories", "styles", "assignments"])
+def test_item_tables_refuse_a_column_value_that_is_not_an_integer(field, bad):
+    # float ids 0.5, 1.5, 2.7 used to be indexed as 0, 1, 2
+    columns = {"ids": [3.0, 1.0, 2.0], "categories": [0.0, 1.0, 1.0], "styles": [0.0, 2.0, 1.0],
+               "assignments": [1.0, 0.0, 0.0]}
+    tables = {
+        "catalog": lambda c: Catalog(c["ids"], c["categories"], np.eye(3), styles=c["styles"]),
+        "index": lambda c: RetrievalIndex(c["ids"], np.eye(3), c["categories"], ann=AnnConfig(clusters=2),
+                                          centroids=np.eye(3)[:2], assignments=c["assignments"]),
+    }
+    broken = {**columns, field: [columns[field][0], bad, columns[field][2]]}
+    for name, build in tables.items():
+        if (name, field) in (("catalog", "assignments"), ("index", "styles")):
+            continue
+        assert build(columns).ids.tolist() == [1, 2, 3]  # whole-number floats are integers
+        with pytest.raises(ValueError) as err:
+            build(broken)
+        assert str(err.value) == f"field {field!r} must hold integers, got {bad!r}"
+
+
 def test_catalog_rejects_no_items_and_misaligned_columns():
     with pytest.raises(ValueError, match="no items"):
         Catalog([], [], np.zeros((0, 3)))

@@ -176,3 +176,26 @@ def test_screen_keeps_every_score_within_the_margin_of_the_kth_best(palette, n, 
         assert np.all(np.diff(kept) > 0)
         assert must <= set(kept.tolist())
         assert np.all(scores[kept] >= floor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    palette=st.lists(st.floats(-4.0, 4.0, width=32), min_size=1, max_size=6),
+    rows=st.integers(1, 6),
+    n=st.integers(2, 300),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screen_rows_keeps_what_screen_keeps_in_each_row(palette, rows, n, k, seed):
+    # k = 1 over several rows takes the one-pass path; an infinite margin keeps the row
+    rng = np.random.default_rng(seed)
+    k = min(k, n - 1)
+    mixed = np.where(rng.random((rows, n)) < 0.5, rng.choice(np.array(palette), size=(rows, n)),
+                     rng.standard_normal((rows, n)))
+    scores = mixed.astype(np.float32)
+    margins = rng.choice([0.0, 2.0**-30, 1e-6, 1e-3, 0.5, np.inf], size=rows).tolist()
+    counts, cols = kernels.screen_rows(scores, k, margins)
+    want = [kernels.screen(row, k, m) for row, m in zip(scores, margins)]
+    assert counts == [len(c) for c in want]
+    assert cols.tolist() == np.concatenate(want).tolist()
+    assert all(len(c) == n for c, m in zip(want, margins) if m == np.inf)

@@ -18,14 +18,20 @@ def test_every_public_name_resolves():
 
 
 def test_readme_names_only_code_that_exists():
-    # every backticked `module.name` of the package, and every backticked
+    # every backticked `module.name` of the package, every backticked
+    # `Class.attr` of a class the package defines, and every backticked
     # ALL_CAPS constant, must name something the modules define
     modules = {m.name: importlib.import_module(f"setcomplete.{m.name}") for m in pkgutil.iter_modules(setcomplete.__path__)}
+    classes = {name: obj for mod in modules.values() for name, obj in vars(mod).items()
+               if isinstance(obj, type) and obj.__module__ == mod.__name__}
     spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
     named = [m.groups() for span in spans for m in re.finditer(r"(?<![\w.])([a-z_]+)\.(\w+)", span) if m[1] in modules]
+    attrs = [m.groups() for span in spans for m in re.finditer(r"(?<!\w)([A-Z]\w*)\.(\w+)", span) if m[1] in classes]
     constants = [span for span in spans if re.fullmatch(r"[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+", span)]
-    assert named and constants
+    assert named and attrs and constants
     assert [f"{mod}.{name}" for mod, name in named if not hasattr(modules[mod], name)] == []
+    assert [f"{cls}.{attr}" for cls, attr in attrs
+            if not hasattr(classes[cls], attr) and attr not in getattr(classes[cls], "__dataclass_fields__", {})] == []
     assert [c for c in constants if not any(hasattr(mod, c) for mod in modules.values())] == []
 
 

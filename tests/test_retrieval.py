@@ -66,6 +66,11 @@ def test_empty_pool_is_an_error(rng):
         with pytest.raises(ValueError, match="category") as err:
             index.query_knn(q, k=1, category_filter=category_filter)
         assert "\n" not in str(err.value)
+        with pytest.raises(ValueError, match="category") as err:
+            index.ranked_ids(np.stack([q, q]), 1, category_filters=[2, category_filter])
+        assert "\n" not in str(err.value)
+    with pytest.raises(ValueError, match="^1 category filters for 2 query rows$"):
+        index.ranked_ids(np.stack([q, q]), 1, category_filters=[2])
     assert index.query_knn(q, k=1, category_filter=np.int32(2)) == index.query_knn(q, k=1, category_filter=2)
 
 
@@ -74,6 +79,9 @@ def test_invalid_k_rejected(rng):
     for k in (0, -3, 2.5, "3", None):
         with pytest.raises(ValueError, match="^k ") as err:
             index.query_knn(index.features[0], k=k)
+        assert "\n" not in str(err.value)
+        with pytest.raises(ValueError, match="^k ") as err:
+            index.ranked_ids(index.features[:2], k=k)
         assert "\n" not in str(err.value)
     assert index.query_knn(index.features[0], k=np.int64(3)) == index.query_knn(index.features[0], k=3)
 
@@ -386,17 +394,59 @@ def test_top1_ids_ranks_few_rows_with_query_knn_and_more_with_one_product(n, dim
     index = RetrievalIndex(rng.permutation(3 * n)[:n], adversarial_rows(rng, n, dim, scale), rng.integers(0, 3, size=n))
     queries = np.concatenate([index.features[rng.integers(0, n, size=rows // 2)],
                               adversarial_rows(rng, rows - rows // 2, dim, scale)])
-    for block_values in (evaluation.TOP1_BLOCK_VALUES, 2 * n):  # one block, and blocks of 2 rows
+    for block_scores in (retrieval.RANK_BLOCK_SCORES, 2 * n):  # one block, and blocks of 2 rows
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluation, "TOP1_BLOCK_VALUES", block_values)
+            mp.setattr(retrieval, "RANK_BLOCK_SCORES", block_scores)
             got = evaluation.top1_ids(index, queries)
-            if rows <= evaluation.QUERY_KNN_MAX_ROWS:
-                assert got.tolist() == [index.query_knn(q, 1)[0][0] for q in queries]
-                assert got.tolist() == [evaluation.top1_ids(index, q[None])[0] for q in queries]
-            else:
-                step = max(1, block_values // n)
-                best = [np.argmax(queries[s : s + step] @ index.features.T, axis=1) for s in range(0, rows, step)]
-                assert got.tolist() == index.ids[np.concatenate(best)].tolist()
+        assert got.tolist() == [index.query_knn(q, 1)[0][0] for q in queries]
+        assert got.tolist() == [evaluation.top1_ids(index, q[None])[0] for q in queries]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    dim=st.sampled_from([3, 8, 32]),
+    clusters=st.integers(0, 6),
+    rows=st.integers(1, 12),
+    k=st.integers(1, 40),
+    filtered=st.sampled_from(["none", "one", "mixed"]),
+    log_scale=st.integers(0, 10),
+    special=st.sampled_from(["none", "nan_row", "inf_query", "nan_query"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=40, dim=8, clusters=4, rows=12, k=1, filtered="mixed", log_scale=0, special="none", seed=0)
+def test_ranked_ids_equal_the_ids_of_each_rows_query_knn(n, dim, clusters, rows, k, filtered, log_scale, special, seed):
+    # rows repeat or sit 1 ulp apart, queries copy indexed rows, filters repeat
+    # and mix with unfiltered rows, k runs past small pools; a NaN row or a
+    # non-finite query leaves no margin
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    feats = adversarial_rows(rng, n, dim, scale)
+    if special == "nan_row":
+        feats[rng.integers(0, n)] = np.nan
+    cats = rng.integers(0, 3, size=n)
+    clusters = min(clusters, n)
+    ivf = {} if clusters == 0 else {"ann": AnnConfig(clusters=clusters), "assignments": rng.integers(0, clusters, size=n),
+                                    "centroids": l2_rows(rng.standard_normal((clusters, dim)))}
+    index = RetrievalIndex(rng.permutation(3 * n)[:n], feats, cats, **ivf)
+    queries = np.concatenate([index.features[rng.integers(0, n, size=rows // 2)],
+                              adversarial_rows(rng, rows - rows // 2, dim, scale)])
+    if special == "inf_query":
+        queries[-1][0] = np.inf
+    elif special == "nan_query":
+        queries[-1][-1] = np.nan
+    present = np.unique(cats).tolist()
+    filters = {"none": None, "one": [present[-1]] * rows,
+               "mixed": [None if c < 0 else present[c] for c in rng.integers(-1, len(present), size=rows)]}[filtered]
+    want = [[i for i, _ in index.query_knn(q, k, category_filter=None if filters is None else filters[r])]
+            for r, q in enumerate(queries)]
+    for patched in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if patched:  # blocks of 2 rows, the sampled cut and one product per span
+                mp.setattr(retrieval, "RANK_BLOCK_SCORES", 2 * n)
+                mp.setattr(kernels, "SCREEN_SAMPLE_MIN", 0)
+                mp.setattr(retrieval, "GATHER_SPAN_ROWS", 0)
+            assert index.ranked_ids(queries, k, filters) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -456,6 +506,11 @@ def test_query_knn_names_a_query_of_the_wrong_length(rng):
         with pytest.raises(ValueError) as err:
             index.query_knn(query, 1)
         assert str(err.value) == f"query has shape {np.shape(query)}, expected (8,)"
+    for queries in (np.ones(8), np.ones((2, 4)), np.ones((1, 1, 8))):
+        with pytest.raises(ValueError) as err:
+            index.ranked_ids(queries, 1)
+        assert str(err.value) == f"query has shape {np.shape(queries)[1:]}, expected (8,)"
+    assert index.ranked_ids(np.ones((0, 8)), 1) == []
 
 
 @settings(max_examples=80, deadline=None)

@@ -204,10 +204,11 @@ def test_quick_val_metrics_ranks_each_row_once(tiny_data, tiny_scorer, tiny_mode
     index = build_index(catalog, item_ids=items_in(val))
     params = build_variant("CR", tiny_model_config, seed=0)
     want = evaluation.quick_val_metrics(params, triples, index, tiny_scorer, k=EVAL_K)
-    calls, query_knn = [], RetrievalIndex.query_knn
+    calls, ranked_ids, query_knn = [], RetrievalIndex.ranked_ids, RetrievalIndex.query_knn
+    monkeypatch.setattr(RetrievalIndex, "ranked_ids", lambda self, q, k, *a: calls.append((len(q), k)) or ranked_ids(self, q, k, *a))
     monkeypatch.setattr(RetrievalIndex, "query_knn", lambda self, q, k, *a, **kw: calls.append(k) or query_knn(self, q, k, *a, **kw))
     assert evaluation.quick_val_metrics(params, triples, index, tiny_scorer, k=EVAL_K) == want
-    assert calls == [EVAL_K] * sum(len(t.z) for t in triples)
+    assert calls == [(sum(len(t.z) for t in triples), EVAL_K)]
 
 
 def test_training_refuses_a_train_split_smaller_than_one_batch(tiny_data):
