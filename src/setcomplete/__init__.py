@@ -45,7 +45,6 @@ from .evaluation import (
     MetricsReport,
     category_accuracy,
     complexity_calc,
-    diversity_histogram,
     finb_eval,
     recall_at_k,
     smd,
@@ -97,7 +96,6 @@ __all__ = [
     "MetricsReport",
     "category_accuracy",
     "complexity_calc",
-    "diversity_histogram",
     "finb_eval",
     "recall_at_k",
     "smd",

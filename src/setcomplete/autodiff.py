@@ -79,9 +79,6 @@ class ParamStore:
             digest.update(np.ascontiguousarray(self.params[name]).tobytes())
         return digest.hexdigest()
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
 
 class Tensor:
     """A graph node: op kind, parent nodes and the last computed values."""

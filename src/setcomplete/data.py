@@ -41,7 +41,6 @@ class SplitTriple:
     x: FeatureSet
     y: FeatureSet
     z: np.ndarray
-    outfit_id: int = -1
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=np.int64)
@@ -229,7 +228,6 @@ def split_outfit(outfit: Outfit, rng: np.random.Generator, catalog: Catalog) -> 
         x=FeatureSet(catalog.features[rows[x]], element_ids=ids[x]),
         y=FeatureSet(catalog.features[rows[y]], element_ids=ids[y]),
         z=catalog.categories[rows[y]],
-        outfit_id=outfit.outfit_id,
     )
 
 
@@ -351,10 +349,12 @@ def read_jsonl(path: str | Path) -> tuple[Catalog | None, list[Outfit]]:
     """Parse an outfit file; returns the item universe seen plus the outfits.
 
     The first feature fixes the feature length and unknown fields are
-    rejected. Errors name the offending line. An empty file yields (None, []).
+    rejected. An item's first record is parsed; a repeat must hold the same
+    category and an equal feature list (1 equals 1.0, NaN equals nothing).
+    Errors name the offending line. An empty file yields (None, []).
     """
     outfits: list[Outfit] = []
-    items: dict[int, tuple[int, np.ndarray]] = {}  # item id -> (category, feature), while parsing
+    items: dict[int, tuple] = {}  # item id -> (category, feature list, whether NaN-free) of its first record
     dim = None
     for lineno, record in _records(path):
         try:
@@ -364,13 +364,16 @@ def read_jsonl(path: str | Path) -> tuple[Catalog | None, list[Outfit]]:
             for it in record["items"]:
                 if set(it) - _ITEM_KEYS:
                     raise ValueError(f"unknown item fields {sorted(set(it) - _ITEM_KEYS)}")
-                feature = _feature(it["feature"], dim)
-                dim = feature.shape[0]
-                iid, category = _int64(it["item_id"]), _int64(it["category_id"])
-                first_category, first_feature = items.setdefault(iid, (category, feature))
-                if first_feature is not feature and not np.array_equal(first_feature, feature):
+                iid, category, feature = _int64(it["item_id"]), _int64(it["category_id"]), it["feature"]
+                first = items.get(iid)
+                if first is None:
+                    parsed = _feature(feature, dim)
+                    dim = parsed.shape[0]
+                    # json.loads gives one NaN object, which list == takes as equal to itself
+                    items[iid] = (category, feature, not np.isnan(parsed).any())
+                elif not first[2] or first[1] != feature:
                     raise ValueError(f"item {iid} seen with two different features")
-                if first_category != category:
+                elif first[0] != category:
                     raise ValueError(f"item {iid} seen with two different categories")
                 if iid in ids:
                     raise ValueError(f"item {iid} appears twice in the outfit")
@@ -380,8 +383,8 @@ def read_jsonl(path: str | Path) -> tuple[Catalog | None, list[Outfit]]:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     if not items:
         return None, outfits
-    categories, features = zip(*items.values())
-    return Catalog(list(items), categories, np.stack(features)), outfits
+    categories, features, _ = zip(*items.values())
+    return Catalog(list(items), categories, np.array(features, dtype=np.float64)), outfits
 
 
 def write_catalog_jsonl(path: str | Path, catalog: Catalog) -> None:

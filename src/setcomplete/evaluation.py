@@ -142,15 +142,9 @@ def _smd_report(gaps: np.ndarray, mode: str) -> dict:
     }
 
 
-def smd(model, triples: list[SplitTriple], scorer: MatchParams, index: RetrievalIndex | None = None) -> dict:
-    """Distribution of g(X, completion) - g(X, Y).
-
-    With an index, completions are the retrieved top-1 item features (the
-    deliverable); without, the raw output features are scored directly.
-    """
-    if index is not None:
-        retrieved = [index.features_of(ids) for ids in _rank(model, triples, index)[2]]
-        return _smd_report(_score_gaps([retrieved], triples, scorer)[0], "retrieved")
+def smd(model, triples: list[SplitTriple], scorer: MatchParams) -> dict:
+    """Distribution of g(X, Yhat) - g(X, Y) over the raw output features Yhat.
+    The `eval` block (`eval_metrics`) also scores the retrieved items."""
     if not triples:
         raise ValueError("no evaluation triples")
     return _smd_report(_score_gaps([_predictions(model, triples, None)], triples, scorer)[0], "raw")
@@ -289,12 +283,6 @@ def _item_histogram(items, top: int) -> dict:
         "top_share": sum(c for _, c in top_rows) / total if total else 0.0,
         "top": [[int(i), int(c)] for i, c in top_rows],
     }
-
-
-def diversity_histogram(model, triples: list[SplitTriple], index: RetrievalIndex, top: int = 100) -> dict:
-    """Frequency of each retrieved item over all completions."""
-    top1 = _rank(model, triples, index)[2] if triples else []
-    return _item_histogram((i for ids in top1 for i in ids), top)
 
 
 def target_histogram(triples: list[SplitTriple], top: int = 100) -> dict:

@@ -176,9 +176,9 @@ def batch_loss_graph(
 def _st_step_loss(params: CSTParams, triples: list, config: LossConfig, rng: np.random.Generator | None):
     """One sampled teacher-forced sequential step per outfit."""
     rng = rng or np.random.default_rng(0)
+    check_categories(np.concatenate([t.z for t in triples]), params.config.categories)
     inputs, tokens, steps = [], [], []
     for t in triples:
-        check_categories(t.z, params.config.categories)
         m = int(rng.integers(len(t.z)))
         prefix = t.y.features[:m]
         inputs.append(np.concatenate([t.x.features, prefix], axis=0))

@@ -114,29 +114,22 @@ def embed_conditions(labels, table: np.ndarray) -> FeatureSet:
 
 
 def slots_graph(params: CSTParams, labels_batch: list[np.ndarray], width: int, slot_seed: int = 0):
-    """Initial slot tensor (B, M, D) plus mask for a batch of condition lists.
+    """Initial slot tensor (B, width, D) plus mask for a batch of condition lists.
 
     Conditioned variants gather rows from the lookup table (differentiable);
     the rest draw standard-normal slots from a generator seeded by `slot_seed`.
+    Padded slot rows hold lookup row 0 or noise: every block masks its padded
+    query rows (`autodiff.mab`), so none reaches an output or a gradient.
     """
-    B = len(labels_batch)
-    dim = params.config.dim
-    mask = np.zeros((B, width), dtype=np.float64)
-    for i, lab in enumerate(labels_batch):
-        mask[i, : len(lab)] = 1.0
+    B, dim = len(labels_batch), params.config.dim
+    mask = (np.arange(width) < np.array([len(lab) for lab in labels_batch])[:, None]).astype(np.float64)
     if params.conditioned:
+        labels = np.concatenate(labels_batch).astype(np.int64, copy=False)
+        check_categories(labels, params.config.categories)
         flat = np.zeros(B * width, dtype=np.int64)
-        for i, lab in enumerate(labels_batch):
-            lab = np.asarray(lab, dtype=np.int64)
-            check_categories(lab, params.config.categories)
-            flat[i * width : i * width + len(lab)] = lab
-        gathered = ad.gather_rows(ad.param(params.store, "cond_table"), flat)
-        z0 = ad.reshape(gathered, (B, width, dim))
-        # zero out padded slots so the lookup rows there get no gradient
-        z0 = ad.mul(z0, ad.const(mask[:, :, None]))
-        return z0, mask
-    noise = np.random.default_rng(slot_seed).standard_normal((B, width, dim))
-    return ad.const(noise * mask[:, :, None]), mask
+        flat[np.flatnonzero(mask)] = labels
+        return ad.reshape(ad.gather_rows(ad.param(params.store, "cond_table"), flat), (B, width, dim)), mask
+    return ad.const(np.random.default_rng(slot_seed).standard_normal((B, width, dim))), mask
 
 
 def cst_graph(

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .serialize import config_from_meta, load_arrays, reading, save_arrays
-from .sets import ItemTable, l2_rows, sort_items
+from .sets import ItemTable, _integers, l2_rows, sort_items
 
 INDEX_VERSION = 1
 # OpenBLAS's dgemv (Haswell kernels, 0.3.31) scores rows in groups of four and
@@ -111,7 +111,10 @@ class RetrievalIndex(ItemTable):
     """Immutable set of items searchable by feature similarity.
 
     Rows are kept in ascending-id order: items given in another order are
-    sorted, with their features, categories and cluster assignments.
+    sorted, with their features, categories and cluster assignments. With an
+    AnnConfig and neither `centroids` nor `assignments`, k-means clusters the
+    items; given, the two come together, one centroid per cluster and one
+    cluster id per item, and a bad one raises a one-line ValueError.
     """
 
     def __init__(
@@ -123,12 +126,21 @@ class RetrievalIndex(ItemTable):
         centroids: np.ndarray | None = None,
         assignments: np.ndarray | None = None,
     ):
+        if (centroids is None) != (assignments is None) or (ann is None and centroids is not None):
+            raise ValueError("centroids and assignments come together, with an AnnConfig")
+        if ann is not None:
+            ann.validate()
+        if assignments is not None:  # checked before sort_items, which names no column that fails to align
+            assignments = _integers(assignments, "assignments")
+            if assignments.shape != np.shape(ids) or not np.all((assignments >= 0) & (assignments < ann.clusters)):
+                raise ValueError(f"field 'assignments' must hold one cluster id in [0, {ann.clusters}) per item")
         self.ids, self.features, self.categories, assignments = sort_items(ids, features, categories, assignments=assignments)
         self.ann = ann
         self.centroids = centroids
         self.assignments = assignments
+        if centroids is not None and np.shape(centroids) != (ann.clusters, self.dim):
+            raise ValueError(f"field 'centroids' has shape {np.shape(centroids)}, expected {(ann.clusters, self.dim)}")
         if ann is not None and centroids is None:
-            ann.validate()
             if ann.clusters > len(self.ids):
                 raise ValueError("more clusters than items")
             self.centroids, self.assignments = _kmeans(self.features, ann)
@@ -284,6 +296,17 @@ class RetrievalIndex(ItemTable):
             pos = gathered[col]
         return counts, self._list_rows[pos]
 
+    def _checked(self, queries, k) -> tuple[np.ndarray, int]:
+        """An (R, D) float64 block of query rows and an integer k >= 1; a
+        wrong row length or shape is named by one row's shape."""
+        k = _integer(k, "k")
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        queries = np.asarray(queries, dtype=np.float64)
+        if queries.ndim != 2 or queries.shape[1] != self.dim:
+            raise ValueError(f"query has shape {queries.shape[1:]}, expected ({self.dim},)")
+        return queries, k
+
     def ranked_ids(self, queries: np.ndarray, k: int, category_filters=None) -> list[list[int]]:
         """Each query row's ranked item ids in exact mode: row r's equal
         ``[i for i, _ in query_knn(queries[r], k, category_filter=category_filters[r])]``.
@@ -298,12 +321,7 @@ class RetrievalIndex(ItemTable):
         float64 maximum, first in the float64 ranking whatever the ids.
         Bad `k`, `queries` or filters raise ValueError as in ``query_knn``.
         """
-        k = _integer(k, "k")
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:  # named as query_knn names one row
-            raise ValueError(f"query has shape {queries.shape[1:]}, expected ({self.dim},)")
+        queries, k = self._checked(queries, k)
         if category_filters is None:
             groups = {None: list(range(len(queries)))}
         else:
@@ -334,14 +352,9 @@ class RetrievalIndex(ItemTable):
         A non-integer or out-of-range `k` or `category_filter`, or a query
         that is not one feature-length vector, raises ValueError naming it.
         """
-        k = _integer(k, "k")
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query has shape {query.shape}, expected ({self.dim},)")
-        cat = self._category(category_filter)
-        _, rows = self._scan(query[None], *self._spans(query, cat, k, mode), k)
+        queries, k = self._checked(np.asarray(query, dtype=np.float64)[None], k)
+        query, cat = queries[0], self._category(category_filter)
+        _, rows = self._scan(queries, *self._spans(query, cat, k, mode), k)
         ids, sims = self._ranked(rows, query, k)
         return list(zip(ids.tolist(), sims.tolist()))
 
@@ -369,21 +382,12 @@ class RetrievalIndex(ItemTable):
             missing, unknown = sorted(want - set(arrays)), sorted(set(arrays) - want)
             if missing or unknown:
                 raise ValueError(f"index arrays missing {missing}, unknown {unknown}")
-            for name in ("ids", "categories"):  # sort_items rejects arrays that are not 1-D
-                if arrays[name].dtype != np.int64:
+            for name in ("ids", "categories", "assignments"):  # the constructor checks their shapes
+                if name in arrays and arrays[name].dtype != np.int64:
                     raise ValueError(f"field {name!r} must hold int64 values, got {arrays[name].dtype}")
             features = arrays["features"]
             if features.ndim != 2:
                 raise ValueError(f"field 'features' must be 2-D, got shape {features.shape}")
-            if ann is not None:
-                ann.validate()
-                centroids, assignments = arrays["centroids"], arrays["assignments"]
-                if centroids.shape != (ann.clusters, features.shape[1]):
-                    raise ValueError(f"field 'centroids' has shape {centroids.shape}, "
-                                     f"expected {(ann.clusters, features.shape[1])}")
-                if (assignments.dtype != np.int64 or assignments.shape != arrays["ids"].shape
-                        or not np.all((assignments >= 0) & (assignments < ann.clusters))):
-                    raise ValueError(f"field 'assignments' must hold one cluster id in [0, {ann.clusters}) per item")
             return cls(arrays["ids"], features, arrays["categories"],
                        ann=ann, centroids=arrays.get("centroids"), assignments=arrays.get("assignments"))
 

@@ -428,6 +428,27 @@ def test_read_jsonl_names_the_line_of_an_item_seen_with_two_categories(tmp_path)
     assert str(err.value) == f"{path}: line 2: item 1 seen with two different categories"
 
 
+def test_read_jsonl_compares_a_repeated_item_with_its_first_feature_list(tmp_path):
+    path = tmp_path / "outfits.jsonl"
+
+    def write(first, repeat):
+        records = [{"outfit_id": o, "likes": 1, "items": [{"item_id": 1, "category_id": 0, "feature": f}]}
+                   for o, f in enumerate((first, repeat))]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    write([1.0, 0.5], [1, 0.5])  # the integer 1 equals the first record's 1.0
+    catalog, outfits = read_jsonl(path)
+    assert catalog.features.tobytes() == np.array([[1.0, 0.5]]).tobytes()
+    assert [o.item_ids for o in outfits] == [[1], [1]]
+    nan = float("nan")
+    for first, repeat in (([1.0, 0.5], [1.0, 0.25]), ([1.0, 0.5], [1.0]), ([1.0, 0.5], [1.0, 0.5, 0.0]),
+                          ([nan, 0.5], [nan, 0.5]), ([1.0, 0.5], [nan, 0.5])):
+        write(first, repeat)
+        with pytest.raises(ValueError) as err:
+            read_jsonl(path)
+        assert str(err.value) == f"{path}: line 2: item 1 seen with two different features"
+
+
 def test_read_jsonl_names_the_line_of_an_outfit_that_holds_one_item_twice(tmp_path):
     # such a file used to load, and training then stopped on query and target sets that were not disjoint
     path = tmp_path / "outfits.jsonl"

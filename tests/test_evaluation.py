@@ -11,7 +11,7 @@ from setcomplete.evaluation import (
     binomial_ci,
     category_accuracy,
     complexity_calc,
-    diversity_histogram,
+    eval_metrics,
     finb_eval,
     output_features,
     recall_at_k,
@@ -85,7 +85,7 @@ def test_smd_of_truth_is_zero(eval_world, tiny_scorer16):
 
 def test_smd_retrieved_mode_uses_index_features(eval_world, tiny_scorer16):
     _, _, triples, index = eval_world
-    report = smd(oracle(triples[:20]), triples[:20], tiny_scorer16, index=index)
+    report = eval_metrics(oracle(triples[:20]), triples[:20], index, tiny_scorer16)["smd"]
     assert report["mode"] == "retrieved"
     # truth features are themselves indexed, so retrieval reproduces them
     assert abs(report["mean"]) < 1e-12
@@ -99,7 +99,7 @@ def test_smd_percentiles_reconstruct_from_samples(eval_world, tiny_scorer16):
         rows = t.y.features + 0.5 * rng.standard_normal(t.y.features.shape)
         return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
-    report = smd([noisy(t) for t in triples[:30]], triples[:30], tiny_scorer16, index=index)
+    report = smd([noisy(t) for t in triples[:30]], triples[:30], tiny_scorer16)
     arr = np.asarray(report["samples"])
     assert report["n"] == arr.size
     assert report["mean"] == pytest.approx(float(arr.mean()), abs=1e-12)
@@ -117,14 +117,16 @@ def tiny_scorer16():
 
 def test_eval_metrics_scores_each_target_once_per_chunk(eval_world, tiny_scorer16, monkeypatch):
     # one match_scores call per chunk scores the retrieved items, the raw
-    # features and the targets; each SMD report equals smd's own
+    # features and the targets; each SMD report equals smd's own over the
+    # retrieved items' and the raw features
     import setcomplete.evaluation as evaluation
 
     _, _, triples, index = eval_world
     rng = np.random.default_rng(4)
     preds = [rng.standard_normal((len(t.z), 8)) for t in triples]
     monkeypatch.setattr(evaluation, "SCORE_BATCH", 16)
-    retrieved = smd(preds, triples, tiny_scorer16, index=index)
+    top1 = np.split(top1_ids(index, np.concatenate(preds)), np.cumsum([len(t.z) for t in triples])[:-1])
+    retrieved = {**smd([index.features_of(ids) for ids in top1], triples, tiny_scorer16), "mode": "retrieved"}
     raw = smd(preds, triples, tiny_scorer16)
     calls, match_scores = [], evaluation.match_scores
     monkeypatch.setattr(evaluation, "match_scores", lambda *a, **kw: calls.append(len(a[2])) or match_scores(*a, **kw))
@@ -140,8 +142,6 @@ def test_metrics_of_an_st_model_equal_those_of_its_output_features(eval_world, t
     preds = output_features(st, triples, index)
     assert recall_at_k(st, triples, index, k=4) == recall_at_k(preds, triples, index, k=4)
     assert category_accuracy(st, triples, index) == category_accuracy(preds, triples, index)
-    assert diversity_histogram(st, triples, index) == diversity_histogram(preds, triples, index)
-    assert smd(st, triples, tiny_scorer16, index=index) == smd(preds, triples, tiny_scorer16, index=index)
     # without an index there is nothing for the sequential baseline to retrieve from
     with pytest.raises(ValueError, match="st_sequential_complete"):
         smd(st, triples, tiny_scorer16)
@@ -245,14 +245,14 @@ def test_finb_is_seed_deterministic(eval_world):
 
 def test_diversity_histogram_identity_and_degenerate(eval_world):
     _, _, triples, index = eval_world
-    report = diversity_histogram(oracle(triples), triples, index, top=100)
+    report = eval_metrics(oracle(triples), triples, index)["diversity"]
     truth = target_histogram(triples, top=100)
     assert report["n_elements"] == truth["n_elements"]
     assert report["n_distinct"] == truth["n_distinct"]
     assert report["top_share"] == pytest.approx(truth["top_share"])
 
     first = index.features[0]
-    degenerate = diversity_histogram([np.tile(first, (len(t.z), 1)) for t in triples], triples, index, top=1)
+    degenerate = eval_metrics([np.tile(first, (len(t.z), 1)) for t in triples], triples, index)["diversity"]
     assert degenerate["top_share"] == 1.0
     assert degenerate["n_distinct"] == 1
     assert degenerate["max_frequency"] == degenerate["n_elements"]

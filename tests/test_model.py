@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+import setcomplete.autodiff as ad
 import setcomplete.model as sm
 from setcomplete.data import Catalog
 from setcomplete.evaluation import top1_ids
@@ -238,6 +239,44 @@ def test_complete_batch_matches_per_query_calls(tag, shapes, seed):
         assert rows.shape == single.shape
         assert np.max(np.abs(rows - single)) <= 1e-12
         assert np.array_equal(top1_ids(BATCH_INDEX, rows), top1_ids(BATCH_INDEX, single))
+
+
+PAD_PARAMS = {tag: build_variant(tag, CONFIG, seed=15) for tag in ("CR", "Cx", "xx")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tag=hst.sampled_from(["CR", "Cx", "xx"]),
+    shapes=hst.lists(hst.tuples(hst.integers(1, 6), hst.integers(1, 5)), min_size=1, max_size=5),
+    extra=hst.integers(0, 2),
+    log_scale=hst.integers(-3, 3),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_padded_slot_rows_reach_no_output_and_no_gradient(tag, shapes, extra, log_scale, seed):
+    """Whatever finite values the padded slot rows hold, slots_graph's own
+    (lookup row 0 or noise) among them, cst_graph's output and every
+    parameter gradient equal those with zeroed padding rows."""
+    params = PAD_PARAMS[tag]
+    rng = np.random.default_rng(seed)
+    x_pad, x_mask = pad_stack([rng.standard_normal((n, 16)) for n, _ in shapes])
+    labels = [rng.integers(0, 6, size=m) for _, m in shapes]
+    width = max(m for _, m in shapes) + extra
+    weights = rng.standard_normal((len(shapes), width, 16))
+    fill = 10.0**log_scale * rng.standard_normal(weights.shape)
+
+    def run(padding):
+        z0, z_mask = slots_graph(params, labels, width, slot_seed=seed)
+        if padding is not None:
+            valid = z_mask[:, :, None]
+            z0 = ad.add(ad.mul(z0, ad.const(valid)), ad.const(padding * (1.0 - valid)))
+        out = cst_graph(params, x_pad, x_mask, z0, z_mask)
+        _, grads = ad.eval_and_grad(ad.Graph(ad.tsum(ad.mul(out, ad.const(weights)))), params.store)
+        return out.values, grads
+
+    zeroed_out, zeroed_grads = run(np.zeros_like(fill))
+    for out, grads in (run(fill), run(None)):
+        assert np.array_equal(out, zeroed_out)
+        assert all(np.array_equal(grads[name], g) for name, g in zeroed_grads.items())
 
 
 def test_complete_ids_takes_each_row_nearest_item_within_its_label(rng):

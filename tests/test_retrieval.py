@@ -283,6 +283,34 @@ def test_load_rejects_malformed_index(rng, tmp_path, edit, field):
     assert "\n" not in str(err.value)
 
 
+TOGETHER = "centroids and assignments come together, with an AnnConfig"
+ASSIGNMENTS = "field 'assignments' must hold one cluster id in [0, 2) per item"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"assignments": None}, TOGETHER),
+    ({"centroids": None}, TOGETHER),
+    ({"ann": None}, TOGETHER),
+    ({"ann": None, "assignments": None}, TOGETHER),
+    ({"ann": None, "centroids": None}, TOGETHER),
+    ({"centroids": np.eye(4)[:3]}, "field 'centroids' has shape (3, 4), expected (2, 4)"),
+    ({"centroids": np.eye(3)[:2]}, "field 'centroids' has shape (2, 3), expected (2, 4)"),
+    ({"assignments": [0, 1, 0, 1, 0, 2]}, ASSIGNMENTS),
+    ({"assignments": [0, 1, 0, 1, 0, -1]}, ASSIGNMENTS),
+    ({"assignments": [0, 1, 0, 1, 0]}, ASSIGNMENTS),
+], ids=["centroids-alone", "assignments-alone", "no-ann", "centroids-without-ann", "assignments-without-ann",
+        "centroids-three", "centroids-width", "assignments-out-of-range", "assignments-negative", "assignments-cut"])
+def test_constructor_rejects_a_bad_clustering(rng, change, message):
+    # each used to be accepted, ignored, or to fail later inside a query
+    feats = l2_rows(rng.standard_normal((6, 4)))
+    args = {"ann": AnnConfig(clusters=2, probes=1), "centroids": np.eye(4)[:2], "assignments": [0, 1, 0, 1, 0, 1]}
+    index = RetrievalIndex(np.arange(6), feats, np.arange(6) % 3, **args)
+    assert len(index.query_knn(feats[0], 6, mode="approx")) == 6
+    with pytest.raises(ValueError) as err:
+        RetrievalIndex(np.arange(6), feats, np.arange(6) % 3, **{**args, **change})
+    assert str(err.value) == message
+
+
 def probed_reference(index, query, k, category_filter=None):
     """Approximate hits recomputed from the id-ordered rows and the assignments."""
     full = index.features @ query
